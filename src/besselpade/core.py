@@ -222,13 +222,18 @@ class Polynomial:
         """Positive rational c with self/c primitive (integer coefficients, gcd 1)."""
         if self.is_zero:
             raise ValueError("zero polynomial has no content")
+        den_lcm, ints = self._cleared()
+        num_gcd = 0
+        for c in ints:
+            num_gcd = math.gcd(num_gcd, c)
+        return Fraction(num_gcd, den_lcm)
+
+    def _cleared(self) -> tuple[int, list[int]]:
+        """(L, integer coefficients of L*self), L the lcm of the denominators."""
         den_lcm = 1
         for c in self._coeffs:
             den_lcm = math.lcm(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self._coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator) * (den_lcm // c.denominator))
-        return Fraction(num_gcd, den_lcm)
+        return den_lcm, [c.numerator * (den_lcm // c.denominator) for c in self._coeffs]
 
     # -- rendering ---------------------------------------------------------
 
@@ -265,10 +270,64 @@ def poly_scale_substitute(p: Polynomial, c: Coefficient) -> Polynomial:
     return p.scale_substitute(c)
 
 
+# 2^61 - 1, a Mersenne prime: residues stay small Python ints.
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+    """True when the images of a and b in GF(P)[x] have a constant gcd.
+
+    a and b are ascending integer coefficient lists whose leading
+    coefficients are nonzero mod P.
+    """
+    prime = _GCD_PRIME
+    a = [c % prime for c in a]
+    b = [c % prime for c in b]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, prime)
+        shift = len(a) - len(b)
+        while shift >= 0:
+            factor = a[-1] * inv % prime
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - factor * b[i]) % prime
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+            shift = len(a) - len(b)
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor under exact rational arithmetic."""
+    """Monic greatest common divisor under exact rational arithmetic.
+
+    Coprimality is first checked modulo the prime P = 2^61 - 1, which
+    settles the common case (a constant gcd) without Euclid over Q. Let
+    A and B be p and q with denominators cleared, and G a primitive
+    integer gcd of A and B over Q. By Gauss's lemma G divides A and B in
+    Z[x], so lc(G) divides lc(A) and lc(B). When P divides neither
+    leading coefficient it does not divide lc(G) either, so the image of
+    G mod P keeps its degree and divides both images. A constant gcd of
+    the images then forces deg G = 0. When P divides a leading
+    coefficient that argument fails (s*(P s + 1) and P s + 1 share
+    s + 1/P, yet their images s and 1 are coprime), so the check is
+    skipped. A nonconstant gcd of the images proves nothing either way
+    (s and s + P), so it falls through too. Every nonconstant gcd comes
+    from the Euclid loop over Q.
+    """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
+    if not (p.is_zero or q.is_zero):
+        a_int = p._cleared()[1]
+        b_int = q._cleared()[1]
+        if (
+            a_int[-1] % _GCD_PRIME
+            and b_int[-1] % _GCD_PRIME
+            and _coprime_mod_prime(a_int, b_int)
+        ):
+            return Polynomial([1])
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b

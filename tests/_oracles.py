@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own symbolic pipeline: delay is a
 finite difference of the numerically evaluated phase, magnitude is plain
-complex evaluation. mpmath supplies the working precision.
+complex evaluation. mpmath supplies the working precision. The gcd oracle
+is plain Euclid over Q, without the library's modular coprimality check.
 """
 
 import mpmath as mp
@@ -40,3 +41,11 @@ def magnitude_value(tf, omega, dps=30):
     """|H(j*omega)|^2 at working precision."""
     with mp.workdps(dps):
         return float(abs(transfer_value(tf, mp.mpf(omega))) ** 2)
+
+
+def euclid_gcd(p, q):
+    """Monic gcd of two Polynomials by the Euclid loop over Q."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()

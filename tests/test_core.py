@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import _oracles
 from besselpade.core import (
     Enclosure,
     EvenRationalFunction,
@@ -101,8 +102,26 @@ def test_scale_substitute_examples():
 def test_gcd_examples():
     s = Polynomial([0, 1])
     one = Polynomial([1])
+    big = (1 << 61) - 1  # the prime of poly_gcd's modular coprimality check
     assert poly_gcd(s * s - one, s - one) == s - one
     assert poly_gcd(rand_poly(5) + one, one) == one
+    # coprime over Q, equal modulo the prime
+    assert poly_gcd(s, s + Polynomial([big])) == one
+    # the prime divides a leading coefficient
+    assert poly_gcd(Polynomial([1, big]), s) == one
+    shared = Polynomial([F(1, big), 1])
+    assert poly_gcd(s * Polynomial([1, big]), Polynomial([1, big])) == shared
+    assert poly_gcd(Polynomial([1, big]), s * Polynomial([1, big])) == shared
+    s2, s3 = Polynomial([2, 1]), Polynomial([3, 1])
+    assert poly_gcd(Polynomial([1, big]) * s2, s2 * s3) == s2
+    # shared rational root, non-integer cofactors
+    root = Polynomial([F(-1, 3), 1])
+    a = root * Polynomial([F(5, 7), F(1, 2)])
+    b = root * Polynomial([F(-2, 9), 0, F(3, 4)])
+    assert poly_gcd(a, b) == root
+    p = Polynomial([F(3, 2), 0, 6])
+    assert poly_gcd(p, Polynomial()) == p.monic()
+    assert poly_gcd(Polynomial(), p) == p.monic()
     with pytest.raises(ValueError):
         poly_gcd(Polynomial(), Polynomial())
 
@@ -116,9 +135,10 @@ def test_gcd_is_monic_and_divides_both():
         b = rand_poly(3) * g
         if a.is_zero and b.is_zero:
             continue
-        d = poly_gcd(a, b) if not (a.is_zero and b.is_zero) else None
+        d = poly_gcd(a, b)
         assert d.leading == 1
         assert d.divides(a) and d.divides(b)
+        assert d == _oracles.euclid_gcd(a, b)
 
 
 def test_content():

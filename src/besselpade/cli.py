@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,6 +27,7 @@ from .gbp import GbpParams, classical_bessel, gbp
 from .pade import PadeIndex, pade_exp
 from .response import (
     FlatnessReport,
+    _evaluate,
     delay_flatness,
     group_delay,
     magnitude_flatness,
@@ -347,21 +349,21 @@ def _write_atomic(path: str, text: str) -> None:
 def sweep_rows(
     tf: TransferFunction, omega_max: float, points: int
 ) -> list[tuple[float, float, float, float, bool]]:
-    """(omega, magnitude, phase, delay, pole_adjacent) at each grid point."""
+    """(omega, magnitude, phase, delay, pole_adjacent) at each grid point.
+
+    H(j*omega) gives magnitude and phase and the exact group delay gives
+    the delay, both through the evaluator behind `response.sample`. A row
+    next to a pole of H is flagged and carries inf throughout; the delay
+    alone is inf where the group delay's own denominator flags.
+    """
     delay_fn = group_delay(tf)
+    omegas = [omega_max * i / (points - 1) for i in range(points)]
     rows = []
-    for i in range(points):
-        w = omega_max * i / (points - 1)
-        den = complex(tf.denominator(1j * w))
-        flagged = abs(den) < 1e-12
-        if flagged:
-            mag = phase = delay = float("inf")
+    for w, h, delay in zip(omegas, _evaluate(tf, omegas), _evaluate(delay_fn, omegas)):
+        if h is None:
+            rows.append((w, math.inf, math.inf, math.inf, True))
         else:
-            h = complex(tf.numerator(1j * w)) / den
-            mag = abs(h)
-            phase = cmath.phase(h)
-            delay = float(delay_fn.value_at(w * w))
-        rows.append((w, mag, phase, delay, flagged))
+            rows.append((w, abs(h), cmath.phase(h), math.inf if delay is None else delay, False))
     return rows
 
 

@@ -7,7 +7,9 @@ rounded decimal rendering of surds.
 
 Every coefficient is a `fractions.Fraction`, so all operations here are
 exact. All values are immutable after construction and every operation is a
-pure function; instances may be freely shared across threads.
+pure function; instances may be freely shared across threads. (A
+`Polynomial` fills one cache slot, its float coefficients, on its first
+float evaluation; two threads racing to fill it store equal values.)
 
 Rationals serialize as "p/q" strings (the "/q" omitted when q = 1), which is
 exactly what `str(Fraction)` produces and `Fraction(str)` parses back.
@@ -37,13 +39,14 @@ class Polynomial:
     zeros; the zero polynomial stores an empty tuple and reports degree -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_lowered")
 
     def __init__(self, coefficients: Iterable[Coefficient] = ()):
         coeffs = [_frac(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
+        self._lowered = None
 
     @classmethod
     def monomial(cls, power: int, coefficient: Coefficient = 1) -> "Polynomial":
@@ -92,9 +95,11 @@ class Polynomial:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial([other])
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -103,13 +108,20 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self._coeffs])
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial([other])
         return self + (-other)
+
+    def __rsub__(self, other) -> "Polynomial":
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -150,11 +162,31 @@ class Polynomial:
     # -- evaluation and calculus ------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; x may be Fraction, int, float or complex."""
-        result = _ZERO
-        for c in reversed(self._coeffs):
+        """Horner evaluation; x may be Fraction, int, float or complex.
+
+        A Fraction or int x is evaluated exactly. A float or complex x runs
+        over the coefficients converted to float once per polynomial (to
+        complex for a complex x). Each step is then the operation that
+        mixing a Fraction with x performs, since float(c) is the correctly
+        rounded value either way, so the result is the same to the bit.
+        A coefficient beyond the float range raises OverflowError.
+        """
+        if isinstance(x, complex):
+            result, coeffs = 0j, self._float_coefficients()[1]
+        elif isinstance(x, float):
+            result, coeffs = 0.0, self._float_coefficients()[0]
+        else:
+            result, coeffs = _ZERO, self._coeffs
+        for c in reversed(coeffs):
             result = result * x + c
         return result
+
+    def _float_coefficients(self) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+        """The coefficients as floats and as complex numbers, made once."""
+        if self._lowered is None:
+            floats = tuple(float(c) for c in self._coeffs)
+            self._lowered = (floats, tuple(complex(c) for c in floats))
+        return self._lowered
 
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])

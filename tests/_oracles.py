@@ -4,7 +4,10 @@ These deliberately avoid the library's own symbolic pipeline: delay is a
 finite difference of the numerically evaluated phase, magnitude is plain
 complex evaluation. mpmath supplies the working precision. The gcd oracle
 is plain Euclid over Q, without the library's modular coprimality check.
+The float evaluation oracle is Horner over the Fraction coefficients.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -49,3 +52,16 @@ def euclid_gcd(p, q):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def fraction_horner(poly, x):
+    """Horner over the Fraction coefficients as they stand.
+
+    On a float or complex x every step mixes a Fraction into float
+    arithmetic, converting that coefficient anew; the library's float
+    evaluation must agree with this to the bit.
+    """
+    result = Fraction(0)
+    for c in reversed(poly.coefficients):
+        result = result * x + c
+    return result

@@ -1,14 +1,17 @@
 """End-to-end command-line tests via main(argv)."""
 
+import cmath
 import json
 import math
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
+import _oracles
 from besselpade.cli import main, source_tf, tf_from_provenance
 from besselpade.core import Polynomial, TransferFunction
-from besselpade.response import magnitude_squared
+from besselpade.response import group_delay, magnitude_squared
 
 
 def run(capsys, argv):
@@ -302,6 +305,63 @@ def test_sweep_flags_pole_adjacent_rows(tmp_path, capsys):
     assert "inf" in rows[1]
     assert not rows[0].endswith(",pole-adjacent")
     assert not rows[2].endswith(",pole-adjacent")
+
+
+@pytest.mark.parametrize("c, omega_max", [("1e-12", "2e-6"), ("1e16", "2e8")])
+def test_sweep_flags_frequency_scaled_poles(tmp_path, capsys, c, omega_max):
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps({"num": ["1"], "den": [c, "0", "1"]}))
+    code, out, _ = run(
+        capsys,
+        ["sweep", "--source", f"file:{path}", "--omega-max", omega_max, "--points", "5"],
+    )
+    assert code == 0
+    flags = [line.endswith(",pole-adjacent") for line in out.splitlines()[1:]]
+    assert flags == [False, False, True, False, False]
+
+
+def test_sweep_csv_matches_fraction_horner_to_the_bit(capsys):
+    points = 201
+    for spec in ("pade:1,0", "pade:6,6", "pade:9,4", "bessel:8", "budak:2,4,3/2"):
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--source", spec, "--omega-max", "12.5", "--points", str(points)],
+        )
+        assert code == 0
+        tf, _ = source_tf(spec)
+        gd = group_delay(tf)
+        want = ["omega,magnitude,phase_rad,group_delay"]
+        for i in range(points):
+            w = 12.5 * i / (points - 1)
+            num, den = (complex(_oracles.fraction_horner(p, 1j * w)) for p in (tf.numerator, tf.denominator))
+            h = num / den
+            delay = float(
+                _oracles.fraction_horner(gd.numerator, w * w)
+                / _oracles.fraction_horner(gd.denominator, w * w)
+            )
+            want.append(f"{w!r},{abs(h)!r},{cmath.phase(h)!r},{delay!r}")
+        assert out.splitlines() == want, spec
+
+
+@pytest.mark.parametrize("spec", ["bessel:86", "bessel:120", "pade:61,60"])
+def test_sweep_of_sources_beyond_the_float_range(capsys, spec):
+    # group-delay coefficients reach 2^1030 (bessel:86) to 2^1569 (pade:61,60)
+    tf, _ = source_tf(spec)
+    for omega_max, points in (("3", "4"), ("1000", "2")):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--source", spec, "--omega-max", omega_max, "--points", points],
+        )
+        assert code == 0, err
+        for line in out.splitlines()[1:]:
+            w, mag, phase, delay = (float(x) for x in line.split(","))
+            with mp.workdps(60):
+                h = _oracles.transfer_value(tf, w)
+                ref_mag, ref_phase = float(abs(h)), float(mp.arg(h))
+            ref_delay = _oracles.fd_group_delay(tf, w, h=mp.mpf("1e-20"), dps=60)
+            assert mag == pytest.approx(ref_mag, rel=1e-9), (spec, w)
+            assert abs(cmath.phase(cmath.rect(1.0, phase - ref_phase))) < 1e-9, (spec, w)
+            assert delay == pytest.approx(ref_delay, rel=1e-9), (spec, w)
 
 
 def test_sweep_usage_errors(capsys):

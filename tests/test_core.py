@@ -84,6 +84,32 @@ def test_evaluation_types():
     assert p(1j) == 0j  # complex arithmetic flows through Horner
 
 
+def test_float_evaluation_matches_fraction_horner_to_the_bit():
+    args = [0.0, -0.0, 1.0, -2.5, 1e-300, 3.7e5, 1j, -0.5j, 2.5 + 0.75j, complex(0.0, -1e8)]
+    for _ in range(60):
+        p = rand_poly(9)
+        if p.is_zero:
+            continue
+        for x in args:
+            got, want = p(x), _oracles.fraction_horner(p, x)
+            assert type(got) is type(want)
+            assert repr(got) == repr(want), (p, x)
+
+
+def test_scalar_addition_and_subtraction():
+    s = Polynomial([0, 1])
+    assert s + 2 == Polynomial([2, 1])
+    assert 2 + s == Polynomial([2, 1])
+    assert s - 2 == Polynomial([-2, 1])
+    assert 2 - s == Polynomial([2, -1])
+    assert F(1, 3) + s == Polynomial([F(1, 3), 1])
+    assert sum([s, s]) == 2 * s
+    with pytest.raises(TypeError):
+        s + 0.5
+    with pytest.raises(TypeError):
+        0.5 - s
+
+
 def test_derivative_and_parts():
     p = Polynomial([7, 5, 3, 2])
     assert p.derivative() == Polynomial([5, 6, 6])

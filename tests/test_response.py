@@ -1,5 +1,6 @@
 """Group delay, magnitude and flatness tests."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import _oracles
+from besselpade.budak import BudakParams, budak_tf
 from besselpade.core import EvenRationalFunction, Polynomial, TransferFunction
 from besselpade.gbp import gbp_of
 from besselpade.pade import PadeIndex, pade_exp
@@ -183,3 +185,53 @@ def test_group_delay_against_finite_difference():
             assert ev(gd, w * w) == pytest.approx(
                 _oracles.fd_group_delay(tf, w), abs=1e-6
             )
+
+
+@pytest.mark.parametrize("c, pole", [("1e-12", 1e-6), ("2", math.sqrt(2)), ("1e16", 1e8)])
+def test_sample_flags_frequency_scaled_poles(c, pole):
+    # The absolute test |D| < 1e-12 flags half this grid for s^2 + 1e-12.
+    # At sqrt(2) the float D is 4e-16 of rounding error, not zero.
+    tf = TransferFunction(Polynomial([1]), Polynomial([F(c), 0, 1]))
+    pts = sample(tf, [0.0, pole / 2, 0.99 * pole, pole, 1.5 * pole, 2 * pole])
+    assert [p.pole_adjacent for p in pts] == [False, False, False, True, False, False]
+    assert pts[3].value == math.inf
+    for p in pts[:3] + pts[4:]:
+        x = 1j * p.omega
+        num, den = (complex(_oracles.fraction_horner(q, x)) for q in (tf.numerator, tf.denominator))
+        assert p.value == num / den
+
+
+def test_sample_matches_fraction_horner_to_the_bit():
+    sources = [pe(n, m) for n, m in ((1, 0), (3, 2), (5, 5), (8, 4), (12, 11))]
+    sources += [allpole(n) for n in (3, 7, 10)]
+    sources += [budak_tf(BudakParams(m, n, g)) for m, n, g in ((1, 3, F(3, 2)), (2, 4, F(2, 3)))]
+    omegas = [0.0] + [k / 16 for k in range(1, 321)]
+    near_pi = 0
+    for tf in sources:
+        for f in (tf, group_delay(tf), magnitude_squared(tf)):
+            transfer = f is tf
+            for p in sample(f, omegas):
+                x = 1j * p.omega if transfer else p.omega * p.omega
+                den = complex(_oracles.fraction_horner(f.denominator, x))
+                want = complex(_oracles.fraction_horner(f.numerator, x)) / den
+                if not transfer:
+                    want = want.real
+                assert not p.pole_adjacent
+                assert p.value == want, (f, p.omega)
+                if transfer and abs(cmath.phase(want)) > 3.1:
+                    near_pi += 1
+    assert near_pi > 0  # the grid crosses the branch cut of the phase
+
+
+def test_sample_beyond_one_float_scale_is_exact():
+    # coefficient exponents from 2^-997 to 2^1329: no one power of two
+    # brings them all into the double range, so every point is exact
+    k, c = F(10) ** 400, F(1, 10**300)
+    tf = TransferFunction(Polynomial([k]), Polynomial([c, 1]))
+    pts = sample(tf, [0.0, 1e200, 1e300])
+    assert not any(p.pole_adjacent for p in pts)
+    assert pts[0].value == complex(math.inf, 0.0)  # |H(0)| = 1e700
+    for p in pts[1:]:
+        r = F(p.omega)
+        norm = c * c + r * r
+        assert p.value == complex(float(k * c / norm), float(-k * r / norm))

@@ -27,10 +27,10 @@ from .gbp import GbpParams, classical_bessel, gbp
 from .pade import PadeIndex, pade_exp
 from .response import (
     FlatnessReport,
-    _evaluate,
     delay_flatness,
     group_delay,
     magnitude_flatness,
+    sample,
 )
 from .stability import StabilityReport, Verdict, routh_hurwitz
 
@@ -351,19 +351,19 @@ def sweep_rows(
 ) -> list[tuple[float, float, float, float, bool]]:
     """(omega, magnitude, phase, delay, pole_adjacent) at each grid point.
 
-    H(j*omega) gives magnitude and phase and the exact group delay gives
-    the delay, both through the evaluator behind `response.sample`. A row
-    next to a pole of H is flagged and carries inf throughout; the delay
-    alone is inf where the group delay's own denominator flags.
+    `response.sample` of H(j*omega) gives magnitude and phase, and of the
+    exact group delay the delay. A row next to a pole of H is flagged and
+    carries inf throughout; the delay alone is inf where the group delay's
+    own denominator flags.
     """
     delay_fn = group_delay(tf)
     omegas = [omega_max * i / (points - 1) for i in range(points)]
     rows = []
-    for w, h, delay in zip(omegas, _evaluate(tf, omegas), _evaluate(delay_fn, omegas)):
-        if h is None:
-            rows.append((w, math.inf, math.inf, math.inf, True))
+    for h, delay in zip(sample(tf, omegas), sample(delay_fn, omegas)):
+        if h.pole_adjacent:
+            rows.append((h.omega, math.inf, math.inf, math.inf, True))
         else:
-            rows.append((w, abs(h), cmath.phase(h), math.inf if delay is None else delay, False))
+            rows.append((h.omega, abs(h.value), cmath.phase(h.value), delay.value, False))
     return rows
 
 
@@ -372,6 +372,8 @@ def _cmd_sweep(args, precision: int) -> int:
         raise UsageError("need at least 2 points")
     if not args.omega_max > 0:
         raise UsageError("omega-max must be positive")
+    if math.isinf(args.omega_max * (args.points - 1)):
+        raise UsageError("omega-max too large: grid points leave the float range")
     tf, _ = source_tf(args.source)
     lines = ["omega,magnitude,phase_rad,group_delay"]
     for w, mag, phase, delay, flagged in sweep_rows(tf, args.omega_max, args.points):

@@ -13,7 +13,6 @@ expansions at the origin.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import sys
@@ -133,76 +132,53 @@ def sample(
     """Double-precision evaluation from the exact coefficients.
 
     Even rational functions are evaluated at u = omega^2 and yield floats;
-    transfer functions yield complex H(j*omega).
+    transfer functions yield complex H(j*omega). Every omega must be
+    finite.
 
     The fast path is double Horner over the coefficients, converted to
-    float once. Its value is used wherever numerator and denominator come
-    out finite and the denominator D exceeds the Horner error bound
-    (deg D + 1) * eps * sum |d_k| |x|^k (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 5.1), so that D has a correct digit;
-    there it is the same to the bit as Horner over the Fraction
-    coefficients. When some coefficient lies beyond the double range,
-    numerator and denominator are first multiplied by one shared power of
-    two, which is exact and cancels in the quotient.
+    float once. Its quotient is used wherever numerator and denominator
+    each exceed 2^27 times their Horner error bound
+    (deg P + 1) * eps * sum |p_k| |x|^k (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 5.1), so that both carry about eight
+    correct digits; there it is the same to the bit as Horner over the
+    Fraction coefficients.
 
-    Every other point is evaluated exactly at Fraction(omega), H(j*omega)
+    Every other point, and every point when a coefficient lies beyond the
+    double range, is evaluated exactly at Fraction(omega), H(j*omega)
     through the even and odd parts P(j*w) = E(-w^2) + j*w*O(-w^2), and
-    rounded once. It is flagged pole-adjacent, with value inf, when a pole
-    lies within a relative distance of 4 eps, by the exact Newton test
-    |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is then the pole, rounded.
+    rounded once. A point is flagged pole-adjacent, with value inf, when a
+    pole lies within a relative distance of 4 eps, by the exact Newton
+    test |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is then the pole,
+    rounded. Since |x| * |D'(x)| <= deg D * sum |d_k| |x|^k, no point that
+    passes the fast-path gate meets this test, so the flag is the Newton
+    test at every point.
     """
-    ws = [float(w) for w in omegas]
-    return [
-        SamplePoint(w, math.inf, True) if v is None else SamplePoint(w, v)
-        for w, v in zip(ws, _evaluate(f, ws))
-    ]
-
-
-def _evaluate(
-    f: Union[EvenRationalFunction, TransferFunction], omegas: Sequence[float]
-) -> list[Optional[Union[float, complex]]]:
-    """f at each float omega as `sample` describes it, None where flagged."""
     transfer = isinstance(f, TransferFunction)
-    scaled = _scaled_to_float_range(f.numerator, f.denominator)
-    if scaled is None:
-        return [_exact_value(f, w) for w in omegas]
-    num, den = scaled
-    size = Polynomial([abs(c) for c in den.coefficients])
-    slack = (den.degree + 1) * sys.float_info.epsilon
-    out: list[Optional[Union[float, complex]]] = []
-    for w in omegas:
+    num, den = f.numerator, f.denominator
+    ws = [float(w) for w in omegas]
+    try:
+        float(max(abs(c) for p in (num, den) for c in p.coefficients))
+    except OverflowError:
+        return [_exact_point(f, w) for w in ws]
+    num_gate, den_gate = _horner_gate(num), _horner_gate(den)
+    out = []
+    for w in ws:
         x = 1j * w if transfer else w * w
-        d = den(x)
-        n = num(x)
-        if cmath.isfinite(d) and cmath.isfinite(n) and abs(d) > slack * size(abs(x)):
-            out.append(n / d)
+        n, d = num(x), den(x)
+        t = abs(x)
+        if abs(d) > den_gate(t) and abs(n) > num_gate(t):
+            out.append(SamplePoint(w, n / d))
         else:
-            out.append(_exact_value(f, w))
+            out.append(_exact_point(f, w))
     return out
 
 
-def _scaled_to_float_range(
-    num: Polynomial, den: Polynomial
-) -> Optional[tuple[Polynomial, Polynomial]]:
-    """num and den times one power of two that makes every coefficient a
-    normal float, or None when their exponents span more than the double
-    range. The factor is 1 when every coefficient converts as it stands;
-    otherwise it centres the binary exponents on zero."""
-    exponents = [
-        c.numerator.bit_length() - c.denominator.bit_length()
-        for p in (num, den)
-        for c in p.coefficients
-        if c
-    ]
-    top, bottom = max(exponents), min(exponents)
-    # 2^(e-1) < |c| < 2^(e+1) for the exponent e of c
-    if top + 1 < sys.float_info.max_exp:
-        return num, den
-    shift = (top + bottom) // 2
-    if top - shift + 1 >= sys.float_info.max_exp or bottom - shift < sys.float_info.min_exp:
-        return None
-    scale = Fraction(2) ** -shift
-    return num * scale, den * scale
+def _horner_gate(p: Polynomial) -> Polynomial:
+    """2^27 * (deg p + 1) * eps * sum |p_k| t^k as a polynomial in t = |x|:
+    a double Horner value of p that exceeds it has about eight correct
+    digits."""
+    factor = 2**27 * (p.degree + 1) * Fraction(sys.float_info.epsilon)
+    return Polynomial([factor * abs(c) for c in p.coefficients])
 
 
 # A sweep grid point omega_max*i/(points-1) is two roundings, eps in all,
@@ -210,18 +186,18 @@ def _scaled_to_float_range(
 _POLE_RADIUS = 4 * Fraction(sys.float_info.epsilon)
 
 
-def _exact_value(
+def _exact_point(
     f: Union[EvenRationalFunction, TransferFunction], w: float
-) -> Optional[Union[float, complex]]:
-    """f at Fraction(w) in exact arithmetic, rounded once, or None when a
-    pole lies within _POLE_RADIUS (relative) of the point."""
+) -> SamplePoint:
+    """f at Fraction(w) in exact arithmetic, rounded once, or flagged with
+    value inf when a pole lies within _POLE_RADIUS (relative) of the point."""
     r = Fraction(w)
     if isinstance(f, EvenRationalFunction):
         u = r * r
         d = f.denominator(u)
         if abs(d) <= _POLE_RADIUS * u * abs(f.denominator.derivative()(u)):
-            return None
-        return _nearest_float(f.numerator(u) / d)
+            return SamplePoint(w, math.inf, True)
+        return SamplePoint(w, _nearest_float(f.numerator(u) / d))
 
     u = -r * r
 
@@ -233,10 +209,10 @@ def _exact_value(
     sr, si = at_jr(f.denominator.derivative())
     norm = dr * dr + di * di
     if norm <= _POLE_RADIUS**2 * r * r * (sr * sr + si * si):
-        return None
+        return SamplePoint(w, math.inf, True)
     re = _nearest_float((nr * dr + ni * di) / norm)
     im = _nearest_float((ni * dr - nr * di) / norm)
-    return complex(re, im)
+    return SamplePoint(w, complex(re, im))
 
 
 def _nearest_float(q: Fraction) -> float:

@@ -345,9 +345,10 @@ def test_sweep_csv_matches_fraction_horner_to_the_bit(capsys):
 
 @pytest.mark.parametrize("spec", ["bessel:86", "bessel:120", "pade:61,60"])
 def test_sweep_of_sources_beyond_the_float_range(capsys, spec):
-    # group-delay coefficients reach 2^1030 (bessel:86) to 2^1569 (pade:61,60)
+    # group-delay coefficients reach 2^1030 (bessel:86) to 2^1569 (pade:61,60);
+    # at omega = 35 the double Horner value of bessel:120 has four digits
     tf, _ = source_tf(spec)
-    for omega_max, points in (("3", "4"), ("1000", "2")):
+    for omega_max, points in (("3", "4"), ("35", "2"), ("1000", "2")):
         code, out, err = run(
             capsys,
             ["sweep", "--source", spec, "--omega-max", omega_max, "--points", points],
@@ -377,6 +378,12 @@ def test_sweep_usage_errors(capsys):
         capsys, ["sweep", "--source", "pade:3,2", "--omega-max", "-2", "--points", "5"]
     )
     assert code == 2
+    for omega_max in ("inf", "nan", "1e308"):
+        code, _, _ = run(
+            capsys,
+            ["sweep", "--source", "pade:3,2", "--omega-max", omega_max, "--points", "5"],
+        )
+        assert code == 2, omega_max
 
 
 def test_compare_table(capsys, monkeypatch):

@@ -223,9 +223,19 @@ def test_sample_matches_fraction_horner_to_the_bit():
     assert near_pi > 0  # the grid crosses the branch cut of the phase
 
 
-def test_sample_beyond_one_float_scale_is_exact():
-    # coefficient exponents from 2^-997 to 2^1329: no one power of two
-    # brings them all into the double range, so every point is exact
+def test_sample_resolves_a_cancelling_numerator_exactly():
+    # At sqrt(2) the float N = 2 - w^2 is 4e-16 of rounding error, so the
+    # double quotient is 60% off although D = 1 + j*w is accurate.
+    tf = TransferFunction(Polynomial([2, 0, 1]), Polynomial([1, 1]))
+    (p,) = sample(tf, [math.sqrt(2)])
+    r = F(p.omega)
+    n, norm = 2 - r * r, 1 + r * r
+    assert not p.pole_adjacent
+    assert p.value == complex(float(n / norm), float(-n * r / norm))
+
+
+def test_sample_beyond_the_float_range_is_exact():
+    # the coefficient 10^400 has no double, so every point is exact
     k, c = F(10) ** 400, F(1, 10**300)
     tf = TransferFunction(Polynomial([k]), Polynomial([c, 1]))
     pts = sample(tf, [0.0, 1e200, 1e300])

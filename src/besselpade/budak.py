@@ -13,8 +13,11 @@ magnitude flatness order tops out at 2, attained at the roots of
 
 i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)).
 
-The group delay's dependence on gamma is recovered coefficient by
-coefficient through exact interpolation at rational gamma samples; the
+The group delay's dependence on gamma is computed directly: the
+phase-slope formulas of `response` run once over polynomials in u whose
+coefficients are integer polynomials in gamma, and one canonical group
+delay at a rational check point (gamma = 2 by default) confirms the result
+and proves its numerator and denominator coprime over Q(gamma). The
 resulting integer polynomial block drives the delay-order and order-2
 certificates used at irrational gamma, where no transfer function with
 rational coefficients exists.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -316,9 +320,11 @@ class DelayCoefficientPolys:
 
     numerator_polys[i-1] is the u^i numerator coefficient, likewise for
     the denominator; both share the constant term `scale` (the block is
-    scaled jointly primitive, which pins the constant). The first pair
-    coincides identically whenever m >= 2, reflecting delay flatness of
-    order m.
+    scaled jointly primitive, which pins the constant). The numerator runs
+    to u^(n+m-1), the denominator to u^(n+m), and the two are coprime over
+    Q(gamma): the block is the canonical group delay with gamma kept
+    symbolic. The first pair coincides identically whenever m >= 2,
+    reflecting delay flatness of order m.
     """
 
     m: int
@@ -351,54 +357,130 @@ def _joint_primitive_scale(values: list[Fraction]) -> Fraction:
     return Fraction(den_lcm, num_gcd)
 
 
+# Z[gamma][u] arithmetic for the delay block, on plain ints: a polynomial
+# in gamma is a list of its coefficients, a polynomial in u a list of
+# polynomials in gamma, both in ascending powers; trailing zeros are allowed.
+
+
+def _gamma_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _gamma_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+    return out
+
+
+def _u_add(p: list[list[int]], q: list[list[int]], sign: int = 1) -> list[list[int]]:
+    return [_gamma_add(a, b, sign) for a, b in zip_longest(p, q, fillvalue=[])]
+
+
+def _u_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] = _gamma_add(out[i + k], _gamma_mul(a, b))
+    return out
+
+
+def _u_shift(p: list[list[int]], factor: int) -> list[list[int]]:
+    """factor * u * p."""
+    return [[]] + [[factor * c for c in a] for a in p]
+
+
+def _u_derivative(p: list[list[int]]) -> list[list[int]]:
+    return [[k * c for c in a] for k, a in enumerate(p)][1:]
+
+
+def _u_phase_slope(
+    coeffs: list[int], scale: list[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """`response._phase_slope` of sum_j coeffs[j] * (scale(gamma) * s)^j."""
+    # P(j*omega) = e(u) + j*omega*o(u): s^(2k) and s^(2k+1)/s both become (-u)^k
+    terms, power = [], [1]
+    for j, c in enumerate(coeffs):
+        terms.append([(-1) ** (j // 2) * c * x for x in power])
+        power = _gamma_mul(power, scale)
+    e, o = terms[0::2], terms[1::2]
+    cross = _u_add(_u_mul(e, _u_derivative(o)), _u_mul(o, _u_derivative(e)), -1)
+    num = _u_add(_u_mul(e, o), _u_shift(cross, 2))
+    den = _u_add(_u_mul(e, e), _u_shift(_u_mul(o, o), 1))
+    return num, den
+
+
+def _unit_constant_rows(p: list[list[int]], rows: int) -> list[Polynomial]:
+    """The u^1 .. u^rows coefficients of p over its constant term, which
+    must not depend on gamma."""
+    const = p[0]
+    if any(const[1:]):
+        raise ArithmeticError("delay constant term depends on gamma")
+    padded = p + [[]] * (rows + 1 - len(p))
+    return [Polynomial([Fraction(c, const[0]) for c in row]) for row in padded[1 : rows + 1]]
+
+
 def delay_gamma_polynomials(
     m: int,
     n: int,
     gamma_samples: Optional[Sequence[Fraction]] = None,
 ) -> DelayCoefficientPolys:
-    """Recover the gamma dependence of every delay coefficient.
+    """The gamma dependence of every delay coefficient, in one exact pass.
 
-    Samples the canonical group delay at distinct rational gamma (never 0
-    or 1, where the construction degenerates), normalizes each sample to
-    unit constant term, interpolates coefficient-wise, then rescales the
-    whole block to jointly primitive integer polynomials. Needs more than
-    2(n+m) samples; at least one redundant sample must be consistent with
-    the interpolated degree or the recovery is rejected.
+    The group delay is unchanged when either polynomial is multiplied by a
+    constant, so K drops out: the phase-slope formulas of `response` run
+    once over Z[gamma][u] on the integer coefficients of B_m(2(gamma-1)s; 2, 1)
+    and B_n(2 gamma s; 2, 1). B_k(s; 2, 1) = 2^k B_k(s/2; 2, 2) has
+    p_1/p_0 = 1/2, since b_0 = b_1 for the classical Bessel polynomial, so
+    the delay numerator and denominator both have the constant term
+    (B_n(0) B_m(0))^2, free of gamma (the delay at omega = 0 is
+    gamma - (gamma-1) = 1). Dividing by it and rescaling the whole block to
+    jointly primitive integer polynomials gives the result.
+
+    The block is checked at rational check points: the default single
+    point gamma = 2, or every entry of `gamma_samples` (distinct, never 0
+    or 1, more than 2(n+m) of them). At each, the canonical group delay of
+    `budak_tf` normalized to unit constant term must equal the block's
+    values, zeros included, and its denominator must keep full degree
+    n+m. Full degree at one point proves numerator and denominator coprime
+    over Q(gamma): a common factor of positive degree in u would divide the
+    denominator, whose leading coefficient in u is proportional to
+    gamma^(2n) (gamma-1)^(2m) and vanishes only at 0 and 1, so the factor
+    would survive at that point and lower the reduced degree. A failed
+    check raises ArithmeticError naming the point.
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     bound = 2 * (n + m)
     if gamma_samples is None:
-        gamma_samples = [Fraction(t) for t in range(2, bound + 5)]
-    samples = [Fraction(g) for g in gamma_samples]
-    if len(set(samples)) != len(samples):
-        raise ValueError("duplicated gamma sample")
-    if any(g in (0, 1) for g in samples):
-        raise ValueError("gamma samples must avoid 0 and 1")
-    if len(samples) <= bound:
-        raise ValueError(f"need more than {bound} samples, got {len(samples)}")
+        checks = [Fraction(2)]
+    else:
+        checks = [Fraction(g) for g in gamma_samples]
+        if len(set(checks)) != len(checks):
+            raise ValueError("duplicated gamma sample")
+        if any(g in (0, 1) for g in checks):
+            raise ValueError("gamma samples must avoid 0 and 1")
+        if len(checks) <= bound:
+            raise ValueError(f"need more than {bound} samples, got {len(checks)}")
 
-    num_deg, den_deg = n + m - 1, n + m
-    num_rows: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(num_deg)]
-    den_rows: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(den_deg)]
-    for g in samples:
+    # B_n(s; 2, 1) has integer coefficients
+    dn, dd = _u_phase_slope([int(c) for c in gbp_of(n, 2, 1).coefficients], [0, 2])
+    nn, nd = _u_phase_slope([int(c) for c in gbp_of(m, 2, 1).coefficients], [-2, 2])
+    num_polys = _unit_constant_rows(_u_add(_u_mul(dn, nd), _u_mul(nn, dd), -1), n + m - 1)
+    den_polys = _unit_constant_rows(_u_mul(dd, nd), n + m)
+
+    for g in checks:
         delay = group_delay(budak_tf(BudakParams(m, n, g)))
-        for i in range(1, num_deg + 1):
-            num_rows[i - 1].append((g, _normalized_coeff(delay.numerator, i)))
-        for i in range(1, den_deg + 1):
-            den_rows[i - 1].append((g, _normalized_coeff(delay.denominator, i)))
-
-    def recover(points: list[tuple[Fraction, Fraction]]) -> Polynomial:
-        poly = interpolate(points)
-        # at least one sample beyond the polynomial degree must be redundant
-        if poly.degree > len(points) - 2:
-            raise ArithmeticError("delay coefficient interpolation did not stabilize")
-        if poly.degree > bound:
-            raise ArithmeticError("delay coefficient degree exceeds its bound")
-        return poly
-
-    num_polys = [recover(row) for row in num_rows]
-    den_polys = [recover(row) for row in den_rows]
+        if delay.denominator.degree != n + m:
+            raise ArithmeticError(
+                f"delay denominator at gamma = {g} has degree "
+                f"{delay.denominator.degree}, not {n + m}: coprimality not shown"
+            )
+        for got, polys in ((delay.numerator, num_polys), (delay.denominator, den_polys)):
+            if got * (1 / got.coeff(0)) != Polynomial([1, *(p(g) for p in polys)]):
+                raise ArithmeticError(f"delay block disagrees with the group delay at gamma = {g}")
 
     all_coeffs: list[Fraction] = [Fraction(1)]  # the shared unit constant
     for poly in (*num_polys, *den_polys):

@@ -5,11 +5,17 @@ finite difference of the numerically evaluated phase, magnitude is plain
 complex evaluation. mpmath supplies the working precision. The gcd oracle
 is plain Euclid over Q, without the library's modular coprimality check.
 The float evaluation oracle is Horner over the Fraction coefficients.
+The Budak delay-block oracle recovers the block by sampling the canonical
+group delay at rational gamma and interpolating, independently of the
+library's direct computation over Z[gamma].
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from besselpade import BudakParams, DelayCoefficientPolys, budak_tf, group_delay, interpolate
 
 
 def _polyval(poly, x):
@@ -65,3 +71,65 @@ def fraction_horner(poly, x):
     for c in reversed(poly.coefficients):
         result = result * x + c
     return result
+
+
+def interpolated_delay_block(m, n, gamma_samples=None):
+    """The Budak delay block recovered by sampling and interpolation.
+
+    Samples the canonical group delay at distinct rational gamma (never 0
+    or 1), normalizes each sample to unit constant term, interpolates
+    coefficient-wise with a stabilisation check (one redundant sample) and
+    a degree bound of 2(n+m), then rescales the whole block to jointly
+    primitive integer polynomials. The library computes the same block
+    directly over Z[gamma]; the two must agree exactly.
+    """
+    bound = 2 * (n + m)
+    if gamma_samples is None:
+        gamma_samples = [Fraction(t) for t in range(2, bound + 5)]
+    samples = [Fraction(g) for g in gamma_samples]
+    if len(set(samples)) != len(samples) or any(g in (0, 1) for g in samples):
+        raise ValueError("gamma samples must be distinct and avoid 0 and 1")
+    if len(samples) <= bound:
+        raise ValueError(f"need more than {bound} samples, got {len(samples)}")
+
+    num_deg, den_deg = n + m - 1, n + m
+    num_rows = [[] for _ in range(num_deg)]
+    den_rows = [[] for _ in range(den_deg)]
+    for g in samples:
+        delay = group_delay(budak_tf(BudakParams(m, n, g)))
+        for i in range(1, num_deg + 1):
+            num_rows[i - 1].append((g, delay.numerator.coeff(i) / delay.numerator.coeff(0)))
+        for i in range(1, den_deg + 1):
+            den_rows[i - 1].append((g, delay.denominator.coeff(i) / delay.denominator.coeff(0)))
+
+    def recover(points):
+        poly = interpolate(points)
+        # at least one sample beyond the polynomial degree must be redundant
+        if poly.degree > len(points) - 2:
+            raise ArithmeticError("delay coefficient interpolation did not stabilize")
+        if poly.degree > bound:
+            raise ArithmeticError("delay coefficient degree exceeds its bound")
+        return poly
+
+    num_polys = [recover(row) for row in num_rows]
+    den_polys = [recover(row) for row in den_rows]
+
+    # lam makes lam * (the unit constant and every coefficient) integers
+    # with overall gcd 1
+    values = [Fraction(1)]
+    for poly in (*num_polys, *den_polys):
+        values.extend(poly.coefficients)
+    den_lcm = 1
+    for v in values:
+        den_lcm = math.lcm(den_lcm, v.denominator)
+    num_gcd = 0
+    for v in values:
+        num_gcd = math.gcd(num_gcd, abs(v.numerator) * (den_lcm // v.denominator))
+    lam = Fraction(den_lcm, num_gcd)
+    return DelayCoefficientPolys(
+        m,
+        n,
+        tuple(p * lam for p in num_polys),
+        tuple(p * lam for p in den_polys),
+        lam,
+    )

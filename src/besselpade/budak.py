@@ -13,11 +13,15 @@ magnitude flatness order tops out at 2, attained at the roots of
 
 i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)).
 
-The group delay's dependence on gamma is computed directly: the
-phase-slope formulas of `response` run once over polynomials in u whose
-coefficients are integer polynomials in gamma, and one canonical group
-delay at a rational check point (gamma = 2 by default) confirms the result
-and proves its numerator and denominator coprime over Q(gamma). The
+The group delay's dependence on gamma is computed directly. Scaling s
+scales the phase slope of `response` in a fixed way: if P has slope
+num(u)/den(u), then P(sigma*s) has slope sigma*num(sigma^2 u) /
+den(sigma^2 u), as polynomials. So the slopes of B_n(s; 2, 1) and
+B_m(s; 2, 1), taken once over the integers, give those of the scaled
+polynomials over Z[gamma][u] by substituting sigma = 2*gamma and
+2*(gamma-1). One canonical group delay at a rational check point
+(gamma = 2 by default) confirms the result and proves its numerator and
+denominator coprime over Q(gamma). The
 resulting integer polynomial block drives the delay-order and order-2
 certificates used at irrational gamma, where no transfer function with
 rational coefficients exists.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -42,7 +46,7 @@ from .core import (
     poly_gcd,
 )
 from .gbp import gbp_of
-from .response import FlatnessReport, Quantity, flatness, group_delay
+from .response import FlatnessReport, Quantity, _phase_slope, flatness, group_delay
 from .stability import Verdict, routh_hurwitz
 
 Gamma = Union[Fraction, int, str, QuadSurd]
@@ -282,35 +286,19 @@ class MutualExclusionReport:
 def mutual_exclusion(n: int, m: int, precision: int = 9) -> MutualExclusionReport:
     """Show no gamma equates two different coefficient pairs.
 
-    Certifies by interval separation: every branch interval of matching
-    index j is disjoint from every interval of j' != j, and every branch
-    lies strictly above 1/2. Intervals are refined a few times before a
-    failure is reported; the contract is that none is ever reported.
+    Decided exactly. gamma/(gamma-1) is one-to-one in gamma and equals
+    -r on the plus branch r/(r+1) and r on the minus branch r/(r-1) of
+    index j, with r = A_j^(1/2j) > 0. So a branch of j meets one of
+    j' != j only when A_j^(1/2j) = A_j'^(1/2j'), i.e. A_j^j' = A_j'^j, and
+    both branches of j lie above 1/2 exactly when r > 1, i.e. A_j > 1.
+    The candidate enclosures, at `precision`, are for display.
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    half = Fraction(1, 2)
-    prec = precision
-    for _ in range(5):
-        cands = tuple(gamma_candidates(n, m, j, prec) for j in range(1, m + 1))
-        pairs = tuple(
-            (cands[i].j, cands[k].j)
-            for i in range(len(cands))
-            for k in range(i + 1, len(cands))
-        )
-        disjoint = all(
-            a.disjoint_from(b)
-            for i in range(len(cands))
-            for k in range(i + 1, len(cands))
-            for a in (cands[i].branch_plus, cands[i].branch_minus)
-            for b in (cands[k].branch_plus, cands[k].branch_minus)
-        )
-        above = all(
-            c.branch_plus.lo > half and c.branch_minus.lo > half for c in cands
-        )
-        if disjoint and above:
-            break
-        prec *= 2
+    cands = tuple(gamma_candidates(n, m, j, precision) for j in range(1, m + 1))
+    pairs = tuple((c.j, d.j) for c, d in combinations(cands, 2))
+    disjoint = all(c.a_j**d.j != d.a_j**c.j for c, d in combinations(cands, 2))
+    above = all(c.a_j > 1 for c in cands)
     return MutualExclusionReport(n, m, precision, cands, pairs, disjoint, above)
 
 
@@ -344,19 +332,6 @@ class DelayCoefficientPolys:
         return self.denominator_polys[i - 1]
 
 
-def _joint_primitive_scale(values: list[Fraction]) -> Fraction:
-    """lambda such that lambda*v are integers with overall gcd 1."""
-    den_lcm = 1
-    for v in values:
-        den_lcm = math.lcm(den_lcm, v.denominator)
-    num_gcd = 0
-    for v in values:
-        num_gcd = math.gcd(num_gcd, abs(v.numerator) * (den_lcm // v.denominator))
-    if num_gcd == 0:
-        raise ValueError("cannot scale an all-zero block")
-    return Fraction(den_lcm, num_gcd)
-
-
 # Z[gamma][u] arithmetic for the delay block, on plain ints: a polynomial
 # in gamma is a list of its coefficients, a polynomial in u a list of
 # polynomials in gamma, both in ascending powers; trailing zeros are allowed.
@@ -387,29 +362,20 @@ def _u_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _u_shift(p: list[list[int]], factor: int) -> list[list[int]]:
-    """factor * u * p."""
-    return [[]] + [[factor * c for c in a] for a in p]
-
-
-def _u_derivative(p: list[list[int]]) -> list[list[int]]:
-    return [[k * c for c in a] for k, a in enumerate(p)][1:]
-
-
-def _u_phase_slope(
-    coeffs: list[int], scale: list[int]
+def _scaled_phase_slope(
+    p: Polynomial, sigma: list[int]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """`response._phase_slope` of sum_j coeffs[j] * (scale(gamma) * s)^j."""
-    # P(j*omega) = e(u) + j*omega*o(u): s^(2k) and s^(2k+1)/s both become (-u)^k
-    terms, power = [], [1]
-    for j, c in enumerate(coeffs):
-        terms.append([(-1) ** (j // 2) * c * x for x in power])
-        power = _gamma_mul(power, scale)
-    e, o = terms[0::2], terms[1::2]
-    cross = _u_add(_u_mul(e, _u_derivative(o)), _u_mul(o, _u_derivative(e)), -1)
-    num = _u_add(_u_mul(e, o), _u_shift(cross, 2))
-    den = _u_add(_u_mul(e, e), _u_shift(_u_mul(o, o), 1))
-    return num, den
+    """`response._phase_slope` of p(sigma(gamma) * s) over Z[gamma][u],
+    for p with integer coefficients: the u^k coefficients of num and den
+    times sigma^(2k+1) and sigma^(2k) (see `delay_gamma_polynomials`)."""
+    num, den = _phase_slope(p)
+    powers = [[1]]
+    for _ in range(max(2 * den.degree, 2 * num.degree + 1)):
+        powers.append(_gamma_mul(powers[-1], sigma))
+    return (
+        [[int(c) * x for x in powers[2 * k + 1]] for k, c in enumerate(num.coefficients)],
+        [[int(c) * x for x in powers[2 * k]] for k, c in enumerate(den.coefficients)],
+    )
 
 
 def _unit_constant_rows(p: list[list[int]], rows: int) -> list[Polynomial]:
@@ -430,9 +396,14 @@ def delay_gamma_polynomials(
     """The gamma dependence of every delay coefficient, in one exact pass.
 
     The group delay is unchanged when either polynomial is multiplied by a
-    constant, so K drops out: the phase-slope formulas of `response` run
-    once over Z[gamma][u] on the integer coefficients of B_m(2(gamma-1)s; 2, 1)
-    and B_n(2 gamma s; 2, 1). B_k(s; 2, 1) = 2^k B_k(s/2; 2, 2) has
+    constant, so K drops out. `response._phase_slope` of B_n(s; 2, 1) and
+    B_m(s; 2, 1) is taken over the integers. If P_sigma(s) = P(sigma s),
+    then e_sigma(u) = e(sigma^2 u) and o_sigma(u) = sigma o(sigma^2 u), so
+    num_sigma(u) = sigma num(sigma^2 u) and den_sigma(u) = den(sigma^2 u)
+    as polynomials; substituting sigma = 2 gamma for B_n and
+    sigma = 2(gamma-1) for B_m gives both slopes over Z[gamma][u], and
+    psi_D - psi_N over a common denominator gives the block.
+    B_k(s; 2, 1) = 2^k B_k(s/2; 2, 2) has
     p_1/p_0 = 1/2, since b_0 = b_1 for the classical Bessel polynomial, so
     the delay numerator and denominator both have the constant term
     (B_n(0) B_m(0))^2, free of gamma (the delay at omega = 0 is
@@ -465,9 +436,9 @@ def delay_gamma_polynomials(
         if len(checks) <= bound:
             raise ValueError(f"need more than {bound} samples, got {len(checks)}")
 
-    # B_n(s; 2, 1) has integer coefficients
-    dn, dd = _u_phase_slope([int(c) for c in gbp_of(n, 2, 1).coefficients], [0, 2])
-    nn, nd = _u_phase_slope([int(c) for c in gbp_of(m, 2, 1).coefficients], [-2, 2])
+    # B_k(s; 2, 1) has integer coefficients
+    dn, dd = _scaled_phase_slope(gbp_of(n, 2, 1), [0, 2])
+    nn, nd = _scaled_phase_slope(gbp_of(m, 2, 1), [-2, 2])
     num_polys = _unit_constant_rows(_u_add(_u_mul(dn, nd), _u_mul(nn, dd), -1), n + m - 1)
     den_polys = _unit_constant_rows(_u_mul(dd, nd), n + m)
 
@@ -485,7 +456,7 @@ def delay_gamma_polynomials(
     all_coeffs: list[Fraction] = [Fraction(1)]  # the shared unit constant
     for poly in (*num_polys, *den_polys):
         all_coeffs.extend(poly.coefficients)
-    lam = _joint_primitive_scale(all_coeffs)
+    lam = 1 / Polynomial(all_coeffs).content()
     return DelayCoefficientPolys(
         m,
         n,

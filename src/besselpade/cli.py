@@ -175,32 +175,34 @@ def _load_tf_file(path: str) -> TransferFunction:
 
 
 def source_tf(spec: str) -> tuple[TransferFunction, dict]:
-    """Resolve "pade:N,M" | "budak:M,N,G" | "bessel:N" | "file:PATH"."""
+    """Resolve "pade:N,M" | "budak:M,N,G" | "bessel:N" | "file:PATH" into
+    the transfer function and its provenance."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(f"source spec needs a kind prefix, got {spec!r}")
-    try:
-        if kind == "pade":
-            n, m = (int(x) for x in rest.split(","))
-            return pade_exp(PadeIndex(n, m)), {"family": "pade", "n": n, "m": m}
-        if kind == "budak":
-            m_s, n_s, g_s = rest.split(",")
-            m, n, g = int(m_s), int(n_s), Fraction(g_s)
-            tf = budak_tf(BudakParams(m, n, g))
-            return tf, {"family": "budak", "m": m, "n": n, "gamma": str(g)}
-        if kind == "bessel":
-            n = int(rest)
-            return _bessel_allpole(n), {"family": "bessel", "n": n}
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad source spec {spec!r}: {exc}") from exc
     if kind == "file":
         tf = _load_tf_file(rest)
-        return tf, {
+        provenance = {
             "family": "file",
             "num": _poly_strings(tf.numerator),
             "den": _poly_strings(tf.denominator),
         }
-    raise UsageError(f"unknown source kind {kind!r}")
+        return tf_from_provenance(provenance), provenance
+    try:
+        if kind == "pade":
+            n, m = (int(x) for x in rest.split(","))
+            provenance = {"family": "pade", "n": n, "m": m}
+        elif kind == "budak":
+            m_s, n_s, g_s = rest.split(",")
+            m, n, g = int(m_s), int(n_s), Fraction(g_s)
+            provenance = {"family": "budak", "m": m, "n": n, "gamma": str(g)}
+        elif kind == "bessel":
+            provenance = {"family": "bessel", "n": int(rest)}
+        else:
+            raise UsageError(f"unknown source kind {kind!r}")
+        return tf_from_provenance(provenance), provenance
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad source spec {spec!r}: {exc}") from exc
 
 
 def tf_from_provenance(provenance: dict) -> TransferFunction:

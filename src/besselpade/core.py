@@ -3,7 +3,8 @@
 Dense rational-coefficient polynomials, canonical rational functions (in the
 Laplace variable s and in u = omega^2), truncated power series, quadratic
 surds a + b*sqrt(d), exact Lagrange/Newton interpolation, and correctly
-rounded decimal rendering of surds.
+rounded decimal rendering of surds in one step, from exact comparisons
+and one integer square root.
 
 Every coefficient is a `fractions.Fraction`, so all operations here are
 exact. All values are immutable after construction and every operation is a
@@ -811,16 +812,25 @@ class QuadSurd:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_exponent(v: Fraction) -> int:
-    """floor(log10(v)) for v > 0, exact."""
-    p, q = v.numerator, v.denominator
-    if p >= q:
-        return len(str(p // q)) - 1
-    e = 0
-    while p < q:
-        p *= 10
-        e -= 1
-    return e
+def _decimal_exponent(x: QuadSurd) -> int:
+    """floor(log10(x)) for x > 0, by exact comparisons against powers of ten."""
+
+    def below(e: int) -> bool:
+        return x.compare_to_rational(Fraction(10) ** e) < 0
+
+    # widen [lo, hi) until 10^lo <= x < 10^hi, then bisect
+    lo, hi = -1, 1
+    while below(lo):
+        lo, hi = 2 * lo, lo
+    while not below(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def _format_fixed(digits: str, exponent: int, negative: bool) -> str:
@@ -836,63 +846,37 @@ def _format_fixed(digits: str, exponent: int, negative: bool) -> str:
     return "-" + body if negative else body
 
 
-def _round_sig_half_even(v: Fraction, precision: int) -> str:
-    """Exact round-half-even of a rational to `precision` significant digits."""
-    if v == 0:
-        return _format_fixed("0" * precision, 0, False)
-    negative = v < 0
-    v = abs(v)
-    e = _decimal_exponent(v)
-    # round at position e - precision + 1
-    pos = e - precision + 1
-    scaled = v * Fraction(10) ** (-pos)
-    n = scaled.numerator // scaled.denominator
-    frac = scaled - n
-    if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and n % 2 == 1):
-        n += 1
-    if n == 10**precision:
-        n //= 10
-        e += 1
-    return _format_fixed(str(n), e, negative)
-
-
-def _round_sig_nearest(v: Fraction, precision: int) -> str:
-    """Nearest rounding (ties up) used on interval endpoints; the caller
-    tightens the interval until both endpoints agree."""
-    if v == 0:
-        return _format_fixed("0" * precision, 0, False)
-    negative = v < 0
-    v = abs(v)
-    e = _decimal_exponent(v)
-    pos = e - precision + 1
-    scaled = v * Fraction(10) ** (-pos)
-    n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    if n == 10**precision:
-        n //= 10
-        e += 1
-    return _format_fixed(str(n), e, negative)
-
-
 def surd_to_float(x: QuadSurd, precision: int) -> str:
     """Correctly rounded decimal expansion of a + b*sqrt(d).
 
-    `precision` counts significant decimal digits. Rational values round
-    exactly (half to even); irrational values are bracketed by shrinking
-    exact intervals until the rounded output is unambiguous, so the printed
-    digits are always those of the true value.
+    `precision` counts significant decimal digits. The value is rounded in
+    one step: its sign and decimal exponent e come from exact comparisons
+    against powers of ten, and with y = 10^(precision-1-e) * |x| written as
+    (p + q*sqrt(d)) / L over integers, floor(2y) = floor((2p + 2q*sqrt(d)) / L)
+    takes one `math.isqrt`. The nearest integer to y is then
+    floor((floor(2y) + 1) / 2). An irrational value never lies on a tie; a
+    rational one does when 2y is an odd integer, and rounds half to even.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    if x.is_rational:
-        return _round_sig_half_even(x.a, precision)
-    digits = precision + 8
-    while True:
-        enc = x.enclosure(digits)
-        if enc.lo == 0 or enc.hi == 0 or (enc.lo < 0) != (enc.hi < 0):
-            digits *= 2
-            continue
-        lo_s = _round_sig_nearest(enc.lo, precision)
-        hi_s = _round_sig_nearest(enc.hi, precision)
-        if lo_s == hi_s:
-            return lo_s
-        digits *= 2
+    if x == 0:
+        return _format_fixed("0" * precision, 0, False)
+    negative = x.compare_to_rational(0) < 0
+    if negative:
+        x = -x
+    e = _decimal_exponent(x)
+    scale = Fraction(10) ** (precision - 1 - e)
+    a, b = x.a * scale, x.b * scale
+    den = math.lcm(a.denominator, b.denominator)
+    p = a.numerator * (den // a.denominator)
+    q = b.numerator * (den // b.denominator)
+    # 4 q^2 d is a perfect square only for q = 0, since d is squarefree
+    root = math.isqrt(4 * q * q * x.d)
+    twice = (2 * p + (root if q >= 0 else -root - 1)) // den
+    n = (twice + 1) // 2
+    if q == 0 and 2 * p % den == 0 and twice % 2 and n % 2:
+        n -= 1
+    if n == 10**precision:  # rounding carried into the next power of ten
+        n //= 10
+        e += 1
+    return _format_fixed(str(n), e, negative)

@@ -7,7 +7,11 @@ is plain Euclid over Q, without the library's modular coprimality check.
 The float evaluation oracle is Horner over the Fraction coefficients.
 The Budak delay-block oracle recovers the block by sampling the canonical
 group delay at rational gamma and interpolating, independently of the
-library's direct computation over Z[gamma].
+library's direct computation over Z[gamma]. The decimal-rendering oracle
+brackets a surd by exact intervals, doubling their digits until both ends
+round alike, where the library rounds in one step. The mutual-exclusion
+oracle separates the gamma candidates by refined intervals, where the
+library compares the coefficient ratios exactly.
 """
 
 import math
@@ -15,7 +19,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from besselpade import BudakParams, DelayCoefficientPolys, budak_tf, group_delay, interpolate
+from besselpade import (
+    BudakParams,
+    DelayCoefficientPolys,
+    budak_tf,
+    gamma_candidates,
+    group_delay,
+    interpolate,
+)
 
 
 def _polyval(poly, x):
@@ -133,3 +144,89 @@ def interpolated_delay_block(m, n, gamma_samples=None):
         tuple(p * lam for p in den_polys),
         lam,
     )
+
+
+def _decimal_exponent(v):
+    """floor(log10(v)) for a Fraction v > 0."""
+    p, q = v.numerator, v.denominator
+    if p >= q:
+        return len(str(p // q)) - 1
+    e = 0
+    while p < q:
+        p *= 10
+        e -= 1
+    return e
+
+
+def _format_fixed(digits, exponent, negative):
+    """Fixed notation for 0.digits * 10**(exponent+1)."""
+    p = len(digits)
+    if exponent >= p - 1:
+        body = digits + "0" * (exponent - p + 1)
+    elif exponent >= 0:
+        body = digits[: exponent + 1] + "." + digits[exponent + 1 :]
+    else:
+        body = "0." + "0" * (-exponent - 1) + digits
+    return "-" + body if negative else body
+
+
+def _round_sig(v, precision, half_even):
+    """v rounded to `precision` significant digits, ties to even or up."""
+    if v == 0:
+        return _format_fixed("0" * precision, 0, False)
+    negative = v < 0
+    v = abs(v)
+    e = _decimal_exponent(v)
+    scaled = v * Fraction(10) ** (precision - 1 - e)
+    n = scaled.numerator // scaled.denominator
+    frac = scaled - n
+    if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and (n % 2 == 1 or not half_even)):
+        n += 1
+    if n == 10**precision:
+        n //= 10
+        e += 1
+    return _format_fixed(str(n), e, negative)
+
+
+def refined_surd_to_float(x, precision):
+    """Decimal rendering of a QuadSurd by interval refinement.
+
+    A rational rounds half to even. An irrational value is enclosed in
+    exact intervals whose digit count doubles until both ends, rounded to
+    nearest, give the same string.
+    """
+    if x.is_rational:
+        return _round_sig(x.a, precision, half_even=True)
+    digits = precision + 8
+    while True:
+        enc = x.enclosure(digits)
+        if enc.lo != 0 and enc.hi != 0 and (enc.lo < 0) == (enc.hi < 0):
+            lo_s = _round_sig(enc.lo, precision, half_even=False)
+            if lo_s == _round_sig(enc.hi, precision, half_even=False):
+                return lo_s
+        digits *= 2
+
+
+def interval_mutual_exclusion(n, m, precision=9):
+    """(all_disjoint, all_above_half) from the candidate enclosures.
+
+    Every branch interval of index j must be disjoint from every interval
+    of j' != j, and every branch must lie above 1/2; the enclosures are
+    refined up to five times before a failure is reported.
+    """
+    half = Fraction(1, 2)
+    prec = precision
+    for _ in range(5):
+        cands = [gamma_candidates(n, m, j, prec) for j in range(1, m + 1)]
+        disjoint = all(
+            a.disjoint_from(b)
+            for i in range(len(cands))
+            for k in range(i + 1, len(cands))
+            for a in (cands[i].branch_plus, cands[i].branch_minus)
+            for b in (cands[k].branch_plus, cands[k].branch_minus)
+        )
+        above = all(c.branch_plus.lo > half and c.branch_minus.lo > half for c in cands)
+        if disjoint and above:
+            break
+        prec *= 2
+    return disjoint, above

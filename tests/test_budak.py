@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import _oracles
 from besselpade.core import (
     EvenRationalFunction,
     Polynomial,
@@ -273,6 +274,13 @@ def test_mutual_exclusion_reports():
     vac = mutual_exclusion(2, 1)
     assert vac.all_disjoint and vac.all_above_half
     assert vac.pairs_checked == ()
+
+
+def test_mutual_exclusion_agrees_with_interval_separation():
+    for n in range(2, 10):
+        for m in range(1, n):
+            rep = mutual_exclusion(n, m)
+            assert (rep.all_disjoint, rep.all_above_half) == _oracles.interval_mutual_exclusion(n, m)
 
 
 def test_delay_block_printed_polynomials():

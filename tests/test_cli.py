@@ -206,7 +206,17 @@ def test_analyze_file_errors(tmp_path, capsys):
 
 
 def test_analyze_bad_specs(capsys):
-    for spec in ("nope", "pade:3", "pade:a,b", "orbit:1", "budak:1,2"):
+    for spec in (
+        "nope",
+        "pade:3",
+        "pade:a,b",
+        "orbit:1",
+        "budak:1,2",
+        "pade:-1,2",
+        "budak:1,2,0",
+        "budak:3,2,1",
+        "bessel:-1",
+    ):
         code, _, err = run(capsys, ["analyze", "--source", spec])
         assert code == 2, spec
         assert "error:" in err

@@ -350,6 +350,33 @@ def test_surd_to_float_rational_rounding():
     assert surd_to_float(QuadSurd(-3, 0, 1), 2) == "-3.0"
 
 
+def test_surd_to_float_matches_refinement_oracle():
+    # one-step rounding against interval refinement, string for string
+    cases = []
+    p, q = 1, 1
+    for _ in range(30):
+        # sqrt(2) convergents: p - q*sqrt(2) cancels to about 1/(2q)
+        cases += [QuadSurd(p, -q, 2), QuadSurd(-p, q, 2), QuadSurd(F(p, 1000), F(-q, 1000), 2)]
+        p, q = p + 2 * q, p + q
+    for k in range(1, 16):
+        # just below a power of ten, so rounding carries into it
+        cases += [
+            QuadSurd(10, F(-1, 10**k), 2),
+            QuadSurd(F(-1, 10**k), F(-1, 10**k), 3),
+            QuadSurd(F(10 ** (k + 1) - 5, 10**k), 0, 1),
+            QuadSurd(F(-(10**k) + 1, 10**k), 0, 1),
+        ]
+    checked = [(x, digits) for x in cases for digits in (1, 2, 3, 7, 15, 30)]
+    # -(1 + 5/10^k) lies on a tie at k digits and rounds half to even
+    checked += [(QuadSurd(F(-(10**k) - 5, 10**k), 0, 1), k) for k in range(1, 16)]
+    for _ in range(5000):
+        a = F(rng.randint(-(10 ** rng.randint(0, 12)), 10 ** rng.randint(0, 12)), rng.randint(1, 10**6))
+        b = F(rng.randint(-(10 ** rng.randint(0, 6)), 10 ** rng.randint(0, 6)), rng.randint(1, 10**6))
+        checked.append((QuadSurd(a, b, rng.choice([1, 2, 3, 5, 6, 7, 12, 15, 99991])), rng.randint(1, 30)))
+    for x, digits in checked:
+        assert surd_to_float(x, digits) == _oracles.refined_surd_to_float(x, digits), (x, digits)
+
+
 def test_surd_to_float_accuracy():
     # rendered value within half an ulp of the true value at each precision
     for surd in (QuadSurd(F(5, 2), F(1, 2), 15), QuadSurd(0, 1, 2), QuadSurd(F(1, 3), F(2, 7), 5)):

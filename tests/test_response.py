@@ -245,3 +245,16 @@ def test_sample_beyond_the_float_range_is_exact():
         r = F(p.omega)
         norm = c * c + r * r
         assert p.value == complex(float(k * c / norm), float(-k * r / norm))
+
+
+def test_group_delay_scaling_identity():
+    # P(sigma*s) has phase slope sigma*N(sigma^2 u)/D(sigma^2 u), N/D that of P
+    one = Polynomial([1])
+    for p in (gbp_of(3, 2, 1), gbp_of(7, 2, 1), pe(4, 3).denominator, pe(5, 2).numerator):
+        delay = group_delay(TransferFunction(one, p))
+        for sigma in (F(2), F(-3), F(1, 3), F(-5, 7)):
+            scaled = group_delay(TransferFunction(one, p.scale_substitute(sigma)))
+            assert scaled == EvenRationalFunction(
+                sigma * delay.numerator.scale_substitute(sigma**2),
+                delay.denominator.scale_substitute(sigma**2),
+            ), (p, sigma)

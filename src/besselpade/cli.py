@@ -151,11 +151,6 @@ def _print_report_plain(report: DesignReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_allpole(n: int) -> TransferFunction:
-    den = classical_bessel(n)
-    return TransferFunction(Polynomial([den.coeff(0)]), den)
-
-
 def _load_tf_file(path: str) -> TransferFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,7 +210,8 @@ def tf_from_provenance(provenance: dict) -> TransferFunction:
             BudakParams(provenance["m"], provenance["n"], Fraction(provenance["gamma"]))
         )
     if family == "bessel":
-        return _bessel_allpole(provenance["n"])
+        den = classical_bessel(provenance["n"])
+        return TransferFunction(Polynomial([den.coeff(0)]), den)
     if family == "file":
         return TransferFunction(
             Polynomial([Fraction(c) for c in provenance["num"]]),
@@ -252,8 +248,8 @@ def _cmd_gbp(args, precision: int) -> int:
 def _cmd_pade(args, precision: int) -> int:
     if args.n < 0 or args.m < 0:
         raise UsageError("degrees must be non-negative")
-    tf = pade_exp(PadeIndex(args.n, args.m))
     provenance = {"family": "pade", "n": args.n, "m": args.m}
+    tf = tf_from_provenance(provenance)
     if not args.analyze:
         if args.json:
             _emit_json(
@@ -310,14 +306,13 @@ def _cmd_budak(args, precision: int) -> int:
         raise UsageError("gamma must be positive")
     if not 0 <= args.m <= args.n or args.n < 1:
         raise UsageError("need 0 <= m <= n and n >= 1")
-    tf = budak_tf(BudakParams(args.m, args.n, args.gamma))
     provenance = {
         "family": "budak",
         "m": args.m,
         "n": args.n,
         "gamma": str(Fraction(args.gamma)),
     }
-    report = design_report(tf, provenance)
+    report = design_report(tf_from_provenance(provenance), provenance)
     if args.json:
         _emit_json(_report_dict(report, "budak"))
     else:
@@ -394,9 +389,8 @@ def _cmd_sweep(args, precision: int) -> int:
 def _compare_rows(n: int, m: int, precision: int) -> list[dict]:
     rows: list[dict] = []
 
-    pade_report = design_report(
-        pade_exp(PadeIndex(n, m)), {"family": "pade", "n": n, "m": m}
-    )
+    pade_provenance = {"family": "pade", "n": n, "m": m}
+    pade_report = design_report(tf_from_provenance(pade_provenance), pade_provenance)
     rows.append(
         {
             "variant": "pade",
@@ -429,7 +423,8 @@ def _compare_rows(n: int, m: int, precision: int) -> list[dict]:
             }
         )
 
-    bessel_report = design_report(_bessel_allpole(n), {"family": "bessel", "n": n})
+    bessel_provenance = {"family": "bessel", "n": n}
+    bessel_report = design_report(tf_from_provenance(bessel_provenance), bessel_provenance)
     rows.append(
         {
             "variant": "bessel",

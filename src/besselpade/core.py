@@ -660,13 +660,14 @@ def int_nth_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = int(round(n ** (1.0 / k))) + 1
-    while x**k > n:
-        # Newton step, floored; converges from above
-        x = ((k - 1) * x + n // x ** (k - 1)) // k
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # 2^ceil(bits/k) > n^(1/k); floored Newton steps from above decrease
+    # strictly until they reach floor(n^(1/k)), and never pass below it
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def nth_root_enclosure(x: Fraction, k: int, digits: int) -> Enclosure:

@@ -1,17 +1,25 @@
 """Exact Routh-Hurwitz classification.
 
-The array is computed over rationals with no epsilon perturbation. Two
-degeneracies get explicit handling:
+The array is computed over rationals with no epsilon perturbation, in one
+pass of n + 1 rows. Two degeneracies are rewritten in place, so every row
+keeps its full degree and a nonzero leading entry:
 
 * a full zero row is replaced by the derivative of the auxiliary
   polynomial read off the row above (covers imaginary-axis roots,
   including the origin and repeated axis pairs);
-* a zero leading entry in an otherwise nonzero row is resolved by
-  multiplying the input by (s + a) for a small positive integer a and
-  reclassifying. The extra root at -a is in the open left half-plane, so
-  the product's verdict is the input's verdict, and a strictly Hurwitz
-  polynomial never produces this degeneracy in the first place, so the
-  outcome is always NotHurwitz or Marginal.
+* a nonzero row whose first k entries vanish (a zero pivot) is
+  multiplied, as a polynomial in s, by 1 + (-s^2)^k: entry j becomes
+  row[j] + (-1)^k * row[j + k], and the leading entry (-1)^k * row[k]
+  is nonzero.
+
+The second rule is sound because the sign changes down the leading
+column count right-half-plane roots through a Cauchy index along the
+imaginary axis: at s = jw the rows form a generalized Sturm sequence of
+the even and odd parts of p (Gantmacher, Theory of Matrices II, ch. XV).
+At s = jw the multiplier is 1 + w^(2k) > 0, so it flips no sign and adds
+no zero there, and the index, hence the count, stays the same. A strictly
+Hurwitz polynomial meets neither degeneracy, so a degenerate array always
+ends in NotHurwitz or Marginal.
 
 Verdicts: StrictHurwitz (all roots in the open left half-plane),
 Marginal (roots on the imaginary axis, none strictly right), NotHurwitz.
@@ -42,10 +50,11 @@ class Verdict(enum.Enum):
 class StabilityReport:
     """Outcome of one classification.
 
-    routh_first_column is the leading column of the direct array; when a
-    zero pivot interrupts it, the column is partial (ending at the zero
-    entry) and sign_changes counts right-half-plane roots found by the
-    (s + a) continuation instead.
+    sign_changes counts the sign changes down the leading column of the
+    whole array, continued through every zero row and zero pivot; it is
+    the number of right-half-plane roots. routh_first_column is that
+    column, except when a zero pivot interrupts it: then it is partial,
+    ending at the zero entry, and degenerate_rows names that row alone.
     """
 
     verdict: Verdict
@@ -54,20 +63,16 @@ class StabilityReport:
     degenerate_rows: tuple[int, ...]
 
 
-class _ZeroPivot(Exception):
-    def __init__(self, rows_so_far: list[list[Fraction]], row_index: int):
-        self.rows_so_far = rows_so_far
-        self.row_index = row_index
+def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int], int | None]:
+    """All n+1 rows of the array, every degenerate row replaced in place.
 
-
-def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
-    """All n+1 rows of the array, zero rows replaced in place.
-
-    Raises _ZeroPivot on a zero leading entry in a nonzero row.
+    Returns the rows, the indices of the zero rows, and the index of the
+    first zero pivot (None when there is none).
     """
     n = p.degree
     width = n // 2 + 1
     degenerate: list[int] = []
+    first_pivot = None
 
     def build_row(top_power: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
         row = [Fraction(0)] * width
@@ -89,8 +94,14 @@ def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
             # entry j sits at power (n - i) - 2j
             rows[i] = [(n - i + 1 - 2 * j) * above[j] for j in range(width)]
             row = rows[i]
-        if row[0] == 0:
-            raise _ZeroPivot(rows[: i + 1], i)
+        elif row[0] == 0:
+            if first_pivot is None:
+                first_pivot = i
+            # k leading zeros: multiply the row by 1 + (-s^2)^k
+            k = next(j for j, c in enumerate(row) if c != 0)
+            sign = (-1) ** k
+            rows[i] = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+            row = rows[i]
         if i == n:
             break
         prev, prev2 = rows[i], rows[i - 1]
@@ -102,7 +113,7 @@ def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
             for j in range(width)
         ]
         rows.append(nxt)
-    return rows, degenerate
+    return rows, degenerate, first_pivot
 
 
 def _sign_changes(column: Sequence[Fraction]) -> int:
@@ -119,12 +130,12 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         raise ValueError("need a nonzero polynomial of degree at least 1")
     if p.leading < 0:
         p = p * Fraction(-1)
-    try:
-        rows, degenerate = _routh_rows(p)
-    except _ZeroPivot as zp:
-        return _classify_after_pivot(p, zp)
+    rows, degenerate, first_pivot = _routh_rows(p)
     column = tuple(r[0] for r in rows)
     changes = _sign_changes(column)
+    if first_pivot is not None:
+        column = column[:first_pivot] + (Fraction(0),)
+        degenerate = [first_pivot]
     if changes > 0:
         verdict = Verdict.NOT_HURWITZ
     elif degenerate:
@@ -132,21 +143,6 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     else:
         verdict = Verdict.STRICT_HURWITZ
     return StabilityReport(verdict, column, changes, tuple(degenerate))
-
-
-def _classify_after_pivot(p: Polynomial, zp: _ZeroPivot) -> StabilityReport:
-    """Resolve a zero-pivot degeneracy through the (s + a) product."""
-    partial = tuple(r[0] for r in zp.rows_so_far)
-    for a in range(1, 51):
-        shifted = p * Polynomial([a, 1])
-        try:
-            rows, _ = _routh_rows(shifted)
-        except _ZeroPivot:
-            continue
-        changes = _sign_changes([r[0] for r in rows])
-        verdict = Verdict.NOT_HURWITZ if changes > 0 else Verdict.MARGINAL
-        return StabilityReport(verdict, partial, changes, (zp.row_index,))
-    raise ArithmeticError("zero-pivot continuation failed for 50 shift factors")
 
 
 @dataclass(frozen=True)

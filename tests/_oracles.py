@@ -11,17 +11,23 @@ library's direct computation over Z[gamma]. The decimal-rendering oracle
 brackets a surd by exact intervals, doubling their digits until both ends
 round alike, where the library rounds in one step. The mutual-exclusion
 oracle separates the gamma candidates by refined intervals, where the
-library compares the coefficient ratios exactly.
+library compares the coefficient ratios exactly. The Routh continuation
+oracle resolves a zero pivot by classifying (s + a) * p for a = 1..50,
+where the library rewrites the offending row in one pass.
 """
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import mpmath as mp
 
 from besselpade import (
     BudakParams,
     DelayCoefficientPolys,
+    Polynomial,
+    StabilityReport,
+    Verdict,
     budak_tf,
     gamma_candidates,
     group_delay,
@@ -230,3 +236,102 @@ def interval_mutual_exclusion(n, m, precision=9):
             break
         prec *= 2
     return disjoint, above
+
+
+class _ZeroPivot(Exception):
+    def __init__(self, rows_so_far: list[list[Fraction]], row_index: int):
+        self.rows_so_far = rows_so_far
+        self.row_index = row_index
+
+
+def _continuation_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
+    """All n+1 rows of the array, zero rows replaced in place.
+
+    Raises _ZeroPivot on a zero leading entry in a nonzero row.
+    """
+    n = p.degree
+    width = n // 2 + 1
+    degenerate: list[int] = []
+
+    def build_row(top_power: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
+        row = [Fraction(0)] * width
+        for j in range(width):
+            power = top_power - 2 * j
+            if power < 0:
+                break
+            row[j] = coeffs[power] if power < len(coeffs) else Fraction(0)
+        return row
+
+    asc = list(p.coefficients)
+    rows = [build_row(n, asc), build_row(n - 1, asc)]
+    for i in range(1, n + 1):
+        row = rows[i]
+        if all(c == 0 for c in row):
+            degenerate.append(i)
+            above = rows[i - 1]
+            # derivative of the auxiliary polynomial of the row above:
+            # entry j sits at power (n - i) - 2j
+            rows[i] = [(n - i + 1 - 2 * j) * above[j] for j in range(width)]
+            row = rows[i]
+        if row[0] == 0:
+            raise _ZeroPivot(rows[: i + 1], i)
+        if i == n:
+            break
+        prev, prev2 = rows[i], rows[i - 1]
+        pivot = prev[0]
+        nxt = [
+            (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
+            if j + 1 < width
+            else Fraction(0)
+            for j in range(width)
+        ]
+        rows.append(nxt)
+    return rows, degenerate
+
+
+def _continuation_sign_changes(column: Sequence[Fraction]) -> int:
+    changes = 0
+    for a, b in zip(column, column[1:]):
+        if (a > 0) != (b > 0):
+            changes += 1
+    return changes
+
+
+def continuation_routh_hurwitz(p: Polynomial) -> StabilityReport:
+    """The Routh classification with the (s + a) zero-pivot continuation.
+
+    Raises ArithmeticError when all 50 shifted products meet a zero pivot
+    again, as `s^4 - 81` and `s^5 - s` do.
+    """
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a nonzero polynomial of degree at least 1")
+    if p.leading < 0:
+        p = p * Fraction(-1)
+    try:
+        rows, degenerate = _continuation_rows(p)
+    except _ZeroPivot as zp:
+        return _classify_after_pivot(p, zp)
+    column = tuple(r[0] for r in rows)
+    changes = _continuation_sign_changes(column)
+    if changes > 0:
+        verdict = Verdict.NOT_HURWITZ
+    elif degenerate:
+        verdict = Verdict.MARGINAL
+    else:
+        verdict = Verdict.STRICT_HURWITZ
+    return StabilityReport(verdict, column, changes, tuple(degenerate))
+
+
+def _classify_after_pivot(p: Polynomial, zp: _ZeroPivot) -> StabilityReport:
+    """Resolve a zero-pivot degeneracy through the (s + a) product."""
+    partial = tuple(r[0] for r in zp.rows_so_far)
+    for a in range(1, 51):
+        shifted = p * Polynomial([a, 1])
+        try:
+            rows, _ = _continuation_rows(shifted)
+        except _ZeroPivot:
+            continue
+        changes = _continuation_sign_changes([r[0] for r in rows])
+        verdict = Verdict.NOT_HURWITZ if changes > 0 else Verdict.MARGINAL
+        return StabilityReport(verdict, partial, changes, (zp.row_index,))
+    raise ArithmeticError("zero-pivot continuation failed for 50 shift factors")

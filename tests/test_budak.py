@@ -274,6 +274,10 @@ def test_mutual_exclusion_reports():
     vac = mutual_exclusion(2, 1)
     assert vac.all_disjoint and vac.all_above_half
     assert vac.pairs_checked == ()
+    # the candidates' radicands pass the double range here
+    rep1312 = mutual_exclusion(13, 12)
+    assert rep1312.all_disjoint and rep1312.all_above_half
+    assert len(rep1312.pairs_checked) == 66
 
 
 def test_mutual_exclusion_agrees_with_interval_separation():

@@ -276,6 +276,15 @@ def test_int_nth_root():
         k = rng.randint(1, 6)
         r = int_nth_root(n, k)
         assert r**k <= n < (r + 1) ** k
+    # past the double range, where a float seed overflows
+    assert int_nth_root(2**1500 + 12345, 3) == 2**500
+    assert int_nth_root(7**700, 7) == 7**100
+    assert int_nth_root(7**700 - 1, 7) == 7**100 - 1
+    for _ in range(50):
+        n = rng.randrange(2**1024, 2**3000)
+        k = rng.randint(3, 40)
+        r = int_nth_root(n, k)
+        assert r**k <= n < (r + 1) ** k
 
 
 def test_nth_root_enclosure():

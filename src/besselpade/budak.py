@@ -169,33 +169,29 @@ class GammaSolutions:
     exact: Optional[tuple[QuadSurd, QuadSurd]] = None
 
 
-def _branch_enclosures(a: Fraction, two_j: int, digits: int) -> tuple[Enclosure, Enclosure]:
-    """Intervals for r/(r+1) and r/(r-1), r = a^(1/two_j), refined until
-    the r interval is separated from 1."""
-    while True:
-        r = nth_root_enclosure(a, two_j, digits)
-        if r.lo > 1 or r.hi < 1:
-            break
-        digits *= 2
-    plus = Enclosure(r.lo / (r.lo + 1), r.hi / (r.hi + 1))
-    # r/(r-1) is decreasing on either side of 1
-    minus = Enclosure(r.hi / (r.hi - 1), r.lo / (r.lo - 1))
-    return plus, minus
-
-
 def gamma_candidates(n: int, m: int, j: int, precision: int = 12) -> GammaSolutions:
-    """Validated numeric gamma pair for matching index j."""
+    """Validated numeric gamma pair for matching index j.
+
+    The enclosure of r = A_j^(1/2j) is refined, doubling its digits from
+    precision + 4, until it is separated from 1 and both branch intervals
+    are at most 10^-precision wide. The enclosures are nested as the
+    digits grow, so both conditions, once met, stay met.
+    """
     if precision < 1:
         raise ValueError("precision must be at least 1")
     a = coefficient_ratio(n, m, j)
     if a == 1:
         raise ArithmeticError("unit coefficient ratio: the minus branch has no finite solution")
+    bound = Fraction(1, 10**precision)
     digits = precision + 4
     while True:
-        plus, minus = _branch_enclosures(a, 2 * j, digits)
-        bound = Fraction(1, 10**precision)
-        if plus.width <= bound and minus.width <= bound:
-            break
+        r = nth_root_enclosure(a, 2 * j, digits)
+        if r.lo > 1 or r.hi < 1:
+            plus = Enclosure(r.lo / (r.lo + 1), r.hi / (r.hi + 1))
+            # r/(r-1) is decreasing on either side of 1
+            minus = Enclosure(r.hi / (r.hi - 1), r.lo / (r.lo - 1))
+            if plus.width <= bound and minus.width <= bound:
+                break
         digits *= 2
     exact = None
     if j == 1:

@@ -133,7 +133,12 @@ def _report_dict(report: DesignReport, command: str) -> dict:
     }
 
 
-def _print_report_plain(report: DesignReport) -> None:
+def _emit_report(tf: TransferFunction, provenance: dict, command: str, as_json: bool) -> None:
+    """Print the design report of tf, as JSON or as plain text."""
+    report = design_report(tf, provenance)
+    if as_json:
+        _emit_json(_report_dict(report, command))
+        return
     stab = report.stability
     column = ", ".join(str(c) for c in stab.routh_first_column)
     print(f"transfer function: {report.tf}")
@@ -182,7 +187,7 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
             "num": _poly_strings(tf.numerator),
             "den": _poly_strings(tf.denominator),
         }
-        return tf_from_provenance(provenance), provenance
+        return tf, provenance
     try:
         if kind == "pade":
             n, m = (int(x) for x in rest.split(","))
@@ -250,24 +255,19 @@ def _cmd_pade(args, precision: int) -> int:
         raise UsageError("degrees must be non-negative")
     provenance = {"family": "pade", "n": args.n, "m": args.m}
     tf = tf_from_provenance(provenance)
-    if not args.analyze:
-        if args.json:
-            _emit_json(
-                {
-                    "report_version": 1,
-                    "command": "pade",
-                    "provenance": provenance,
-                    "transfer_function": _tf_dict(tf),
-                }
-            )
-        else:
-            print(tf)
-        return 0
-    report = design_report(tf, provenance)
-    if args.json:
-        _emit_json(_report_dict(report, "pade"))
+    if args.analyze:
+        _emit_report(tf, provenance, "pade", args.json)
+    elif args.json:
+        _emit_json(
+            {
+                "report_version": 1,
+                "command": "pade",
+                "provenance": provenance,
+                "transfer_function": _tf_dict(tf),
+            }
+        )
     else:
-        _print_report_plain(report)
+        print(tf)
     return 0
 
 
@@ -312,21 +312,13 @@ def _cmd_budak(args, precision: int) -> int:
         "n": args.n,
         "gamma": str(Fraction(args.gamma)),
     }
-    report = design_report(tf_from_provenance(provenance), provenance)
-    if args.json:
-        _emit_json(_report_dict(report, "budak"))
-    else:
-        _print_report_plain(report)
+    _emit_report(tf_from_provenance(provenance), provenance, "budak", args.json)
     return 0
 
 
 def _cmd_analyze(args, precision: int) -> int:
     tf, provenance = source_tf(args.source)
-    report = design_report(tf, provenance)
-    if args.json:
-        _emit_json(_report_dict(report, "analyze"))
-    else:
-        _print_report_plain(report)
+    _emit_report(tf, provenance, "analyze", args.json)
     return 0
 
 
@@ -382,25 +374,31 @@ def _cmd_sweep(args, precision: int) -> int:
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        _write_atomic(args.output, text)
+        try:
+            _write_atomic(args.output, text)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write output file: {args.output}: {exc.strerror or exc}"
+            ) from exc
     return 0
 
 
-def _compare_rows(n: int, m: int, precision: int) -> list[dict]:
-    rows: list[dict] = []
+def _report_row(label: str, provenance: dict, phase_applies: bool = True) -> dict:
+    """A compare row from the design report of a provenance's transfer
+    function; its variant is the provenance family."""
+    report = design_report(tf_from_provenance(provenance), provenance)
+    return {
+        "variant": provenance["family"],
+        "label": label,
+        "delay_order": report.delay.order,
+        "magnitude_order": report.magnitude.order,
+        "minimum_phase": report.minimum_phase if phase_applies else None,
+        "stability": str(report.stability.verdict),
+    }
 
-    pade_provenance = {"family": "pade", "n": n, "m": m}
-    pade_report = design_report(tf_from_provenance(pade_provenance), pade_provenance)
-    rows.append(
-        {
-            "variant": "pade",
-            "label": f"pade({n},{m})",
-            "delay_order": pade_report.delay.order,
-            "magnitude_order": pade_report.magnitude.order,
-            "minimum_phase": pade_report.minimum_phase,
-            "stability": str(pade_report.stability.verdict),
-        }
-    )
+
+def _compare_rows(n: int, m: int, precision: int) -> list[dict]:
+    rows = [_report_row(f"pade({n},{m})", {"family": "pade", "n": n, "m": m})]
 
     cert = order2_certificate(n, m)
     if cert.magnitude_order is None or cert.delay_order is None:
@@ -423,18 +421,8 @@ def _compare_rows(n: int, m: int, precision: int) -> list[dict]:
             }
         )
 
-    bessel_provenance = {"family": "bessel", "n": n}
-    bessel_report = design_report(tf_from_provenance(bessel_provenance), bessel_provenance)
-    rows.append(
-        {
-            "variant": "bessel",
-            "label": f"bessel({n})",
-            "delay_order": bessel_report.delay.order,
-            "magnitude_order": bessel_report.magnitude.order,
-            "minimum_phase": None,
-            "stability": str(bessel_report.stability.verdict),
-        }
-    )
+    # an all-pole prototype has no zeros to place
+    rows.append(_report_row(f"bessel({n})", {"family": "bessel", "n": n}, phase_applies=False))
     return rows
 
 

@@ -391,12 +391,14 @@ def _wrap(p: Polynomial, var: str) -> str:
     return f"({s})" if len(p.coefficients) > 1 else s
 
 
-class TransferFunction:
-    """Reduced rational function of s with monic denominator.
+class _ReducedPair:
+    """Reduced rational function with monic denominator, rendered in the
+    variable each subclass names as `_var`.
 
     The canonical form (coprime numerator/denominator, denominator scaled
     monic) is the normalization under which printed textbook forms are
-    reproduced verbatim, so equality is plain field comparison.
+    reproduced verbatim, so equality is plain field comparison between
+    instances of the same class.
     """
 
     __slots__ = ("_num", "_den")
@@ -412,8 +414,31 @@ class TransferFunction:
     def denominator(self) -> Polynomial:
         return self._den
 
-    def value_at(self, s):
-        return self._num(s) / self._den(s)
+    def value_at(self, x):
+        return self._num(x) / self._den(x)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._num == other._num
+            and self._den == other._den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __str__(self) -> str:
+        return f"{_wrap(self._num, self._var)} / {_wrap(self._den, self._var)}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._num!r}, {self._den!r})"
+
+
+class TransferFunction(_ReducedPair):
+    """Reduced rational function of s with monic denominator."""
+
+    __slots__ = ()
+    _var = "s"
 
     def at_origin(self) -> Fraction:
         den0 = self._den.coeff(0)
@@ -421,24 +446,8 @@ class TransferFunction:
             raise ZeroDivisionError("pole at s = 0")
         return self._num.coeff(0) / den0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TransferFunction)
-            and self._num == other._num
-            and self._den == other._den
-        )
 
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
-
-    def __str__(self) -> str:
-        return f"{_wrap(self._num, 's')} / {_wrap(self._den, 's')}"
-
-    def __repr__(self) -> str:
-        return f"TransferFunction({self._num!r}, {self._den!r})"
-
-
-class EvenRationalFunction:
+class EvenRationalFunction(_ReducedPair):
     """Reduced rational function of u = omega^2 with monic denominator.
 
     Carries squared magnitudes and group delays. The denominator must not
@@ -446,45 +455,18 @@ class EvenRationalFunction:
     the lowpass prototypes this library analyzes.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
+    _var = "u"
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        num, den = _reduce_pair(numerator, denominator)
-        if den.coeff(0) <= 0:
+        super().__init__(numerator, denominator)
+        if self._den.coeff(0) <= 0:
             raise ValueError(
                 "even rational function requires a positive denominator constant term"
             )
-        self._num, self._den = num, den
-
-    @property
-    def numerator(self) -> Polynomial:
-        return self._num
-
-    @property
-    def denominator(self) -> Polynomial:
-        return self._den
-
-    def value_at(self, u):
-        return self._num(u) / self._den(u)
 
     def at_origin(self) -> Fraction:
         return self._num.coeff(0) / self._den.coeff(0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EvenRationalFunction)
-            and self._num == other._num
-            and self._den == other._den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
-
-    def __str__(self) -> str:
-        return f"{_wrap(self._num, 'u')} / {_wrap(self._den, 'u')}"
-
-    def __repr__(self) -> str:
-        return f"EvenRationalFunction({self._num!r}, {self._den!r})"
 
 
 class TruncatedSeries:

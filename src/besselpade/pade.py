@@ -2,16 +2,20 @@
 
 Two independent constructions of the same canonical rational function:
 
-* `pade_exp` from the explicit factorial sums
-      Q_nm(s) = (n!/(n+m)!) sum_{k=0}^{m} C(m,k) ((n+k)!/n!) (-s)^(m-k)
+* `pade_exp` from the explicit factorial sum
       P_nm(s) = (m!/(n+m)!) sum_{k=0}^{n} C(n,k) ((m+k)!/m!) s^(n-k)
+  and the numerator Q_nm(s) = P_mn(-s), the denominator with the roles
+  of n and m swapped, evaluated at -s:
+      Q_nm(s) = (n!/(n+m)!) sum_{k=0}^{m} C(m,k) ((n+k)!/n!) (-s)^(m-k)
 * `pade_via_gbp` from generalized Bessel polynomials
       numerator   (n!/(n+m)!) * B_m(-s; n-m+2, 1)
       denominator (m!/(n+m)!) * B_n( s; m-n+2, 1)
 
-The numerator degree is m, so the Bessel factor in it is B_m (a published
-statement of this correspondence prints the degree index as n; that form
-has the wrong degree and is rejected by the explicit-sum cross-check).
+The second form shows the same symmetry: the numerator is the
+denominator's Bessel factor with n and m swapped, at -s. The numerator
+degree is m, so the Bessel factor in it is B_m (a published statement of
+this correspondence prints the degree index as n; that form has the
+wrong degree and is rejected by the explicit-sum cross-check).
 
 The defining property: the Maclaurin expansion of Q_nm - e^(-s) P_nm first
 deviates from zero at the s^(n+m+1) term.
@@ -45,15 +49,8 @@ class PadeIndex:
 
 
 def pade_numerator(idx: PadeIndex) -> Polynomial:
-    """Q_nm before canonical reduction."""
-    n, m = idx.n, idx.m
-    pre = Fraction(math.factorial(n), math.factorial(n + m))
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(m + 1):
-        c = math.comb(m, k) * Fraction(math.factorial(n + k), math.factorial(n))
-        # (-s)^(m-k) contributes sign (-1)^(m-k) at degree m-k
-        coeffs[m - k] = pre * c * (-1) ** (m - k)
-    return Polynomial(coeffs)
+    """Q_nm before canonical reduction: Q_nm(s) = P_mn(-s)."""
+    return pade_denominator(PadeIndex(idx.m, idx.n)).scale_substitute(-1)
 
 
 def pade_denominator(idx: PadeIndex) -> Polynomial:

@@ -1,14 +1,15 @@
 """Frequency-domain analysis in the variable u = omega^2.
 
-Squared magnitude comes from the para-conjugate product P(s)P(-s) with
-s^2 replaced by -u. Group delay comes from splitting each polynomial as
-P(j*omega) = e(u) + j*omega*o(u) and differentiating the phase:
+Each polynomial is split once as P(j*omega) = e(u) + j*omega*o(u). The
+group delay comes from differentiating the phase:
 
     psi_P(u) = [e*o + 2u*(e*o' - o*e')] / (e^2 + u*o^2)
 
-with the delay of N/D equal to psi_D - psi_N. Both quantities are exact
-even rational functions; flatness orders fall out of their Maclaurin
-expansions at the origin.
+with the delay of N/D equal to psi_D - psi_N. The squared magnitude
+|P(j*omega)|^2 = e^2 + u*o^2 is exactly psi_P's denominator, so
+|H(j*omega)|^2 is the ratio of those of N and D. Both quantities are
+exact even rational functions; flatness orders fall out of their
+Maclaurin expansions at the origin.
 """
 
 from __future__ import annotations
@@ -49,27 +50,31 @@ class FlatnessReport:
     quantity: Optional[Quantity] = None
 
 
-def _para_even(p: Polynomial) -> Polynomial:
-    """P(s)*P(-s) as a polynomial in u, via s^2 -> -u."""
-    prod = p * p.scale_substitute(-1)
-    return Polynomial(
-        [prod.coeff(2 * k) * (-1) ** k for k in range(prod.degree // 2 + 1)]
-    )
+_U = Polynomial([0, 1])
+
+
+def _jw_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(e, o) with P(j*omega) = e(u) + j*omega*o(u), u = omega^2."""
+    return p.even_part().scale_substitute(-1), p.odd_part().scale_substitute(-1)
+
+
+def _abs_squared(e: Polynomial, o: Polynomial) -> Polynomial:
+    """|P(j*omega)|^2 = e^2 + u*o^2 from the split (e, o) of P."""
+    return e * e + _U * o * o
 
 
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
     """|H(j*omega)|^2 as a reduced even rational function of u."""
-    return EvenRationalFunction(_para_even(tf.numerator), _para_even(tf.denominator))
+    return EvenRationalFunction(
+        _abs_squared(*_jw_split(tf.numerator)), _abs_squared(*_jw_split(tf.denominator))
+    )
 
 
 def _phase_slope(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Numerator and denominator of psi_P(u) = d(arg P(j*omega))/d(omega)."""
-    e = p.even_part().scale_substitute(-1)
-    o = p.odd_part().scale_substitute(-1)
-    u = Polynomial([0, 1])
-    num = e * o + 2 * u * (e * o.derivative() - o * e.derivative())
-    den = e * e + u * o * o
-    return num, den
+    e, o = _jw_split(p)
+    num = e * o + 2 * _U * (e * o.derivative() - o * e.derivative())
+    return num, _abs_squared(e, o)
 
 
 def group_delay(tf: TransferFunction) -> EvenRationalFunction:

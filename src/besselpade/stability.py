@@ -74,17 +74,8 @@ def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int], int | N
     degenerate: list[int] = []
     first_pivot = None
 
-    def build_row(top_power: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
-        row = [Fraction(0)] * width
-        for j in range(width):
-            power = top_power - 2 * j
-            if power < 0:
-                break
-            row[j] = coeffs[power] if power < len(coeffs) else Fraction(0)
-        return row
-
-    asc = list(p.coefficients)
-    rows = [build_row(n, asc), build_row(n - 1, asc)]
+    # coeff is zero at negative powers and past the degree
+    rows = [[p.coeff(top - 2 * j) for j in range(width)] for top in (n, n - 1)]
     for i in range(1, n + 1):
         row = rows[i]
         if all(c == 0 for c in row):

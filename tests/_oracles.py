@@ -13,7 +13,11 @@ round alike, where the library rounds in one step. The mutual-exclusion
 oracle separates the gamma candidates by refined intervals, where the
 library compares the coefficient ratios exactly. The Routh continuation
 oracle resolves a zero pivot by classifying (s + a) * p for a = 1..50,
-where the library rewrites the offending row in one pass.
+where the library rewrites the offending row in one pass. The squared
+magnitude oracle forms the full product P(s) * P(-s) and keeps its even
+powers, where the library splits P(j*omega) into even and odd parts. The
+Pade numerator oracle is the explicit factorial sum for Q_nm, where the
+library reflects the denominator with n and m swapped.
 """
 
 import math
@@ -67,6 +71,26 @@ def magnitude_value(tf, omega, dps=30):
     """|H(j*omega)|^2 at working precision."""
     with mp.workdps(dps):
         return float(abs(transfer_value(tf, mp.mpf(omega))) ** 2)
+
+
+def para_even(p):
+    """P(s)*P(-s) as a Polynomial in u, via s^2 -> -u."""
+    prod = p * p.scale_substitute(-1)
+    return Polynomial(
+        [prod.coeff(2 * k) * (-1) ** k for k in range(prod.degree // 2 + 1)]
+    )
+
+
+def explicit_pade_numerator(n, m):
+    """Q_nm(s) = (n!/(n+m)!) sum_{k=0}^{m} C(m,k) ((n+k)!/n!) (-s)^(m-k),
+    before canonical reduction."""
+    pre = Fraction(math.factorial(n), math.factorial(n + m))
+    coeffs = [Fraction(0)] * (m + 1)
+    for k in range(m + 1):
+        c = math.comb(m, k) * Fraction(math.factorial(n + k), math.factorial(n))
+        # (-s)^(m-k) contributes sign (-1)^(m-k) at degree m-k
+        coeffs[m - k] = pre * c * (-1) ** (m - k)
+    return Polynomial(coeffs)
 
 
 def euclid_gcd(p, q):

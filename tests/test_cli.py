@@ -302,6 +302,21 @@ def test_sweep_file_output_atomic_lf(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_sweep_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "out.csv", tmp_path / "taken"):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--source", "pade:3,2", "--omega-max", "2", "--points", "5", "--output", str(target)],
+        )
+        assert code == 2, target
+        assert out == ""
+        assert err.startswith("error: cannot write output file:"), err
+    assert list((tmp_path / "taken").iterdir()) == []
+    leftovers = [p.name for p in tmp_path.rglob(".besselpade-*")]
+    assert leftovers == []
+
+
 def test_sweep_flags_pole_adjacent_rows(tmp_path, capsys):
     path = tmp_path / "osc.json"
     path.write_text(json.dumps({"num": ["1"], "den": ["1", "0", "1"]}))

@@ -207,6 +207,27 @@ def test_even_rational_needs_positive_origin():
     assert f.at_origin() == 1
 
 
+def test_rational_function_type_contract():
+    # the s-domain and u-domain types share a canonical form, not equality
+    g = Polynomial([1, 1])
+    a, b = Polynomial([2, 3]), Polynomial([1, 0, 4])
+    tf, erf = TransferFunction(a, b), EvenRationalFunction(a, b)
+    assert (tf.numerator, tf.denominator) == (erf.numerator, erf.denominator)
+    assert tf != erf and erf != tf
+    assert tf == TransferFunction(a * g, b * g)
+    assert erf == EvenRationalFunction(a * g, b * g)
+    assert hash(tf) == hash(TransferFunction(a * g, b * g))
+    assert hash(erf) == hash(EvenRationalFunction(a * g, b * g))
+    assert len({tf, erf, TransferFunction(a * g, b * g)}) == 2
+    assert repr(tf) == "TransferFunction(Polynomial([1/2, 3/4]), Polynomial([1/4, 0, 1]))"
+    assert repr(erf) == "EvenRationalFunction(Polynomial([1/2, 3/4]), Polynomial([1/4, 0, 1]))"
+    assert str(tf) == "(3/4 s + 1/2) / (s^2 + 1/4)"
+    assert str(erf) == "(3/4 u + 1/2) / (u^2 + 1/4)"
+    assert tf.value_at(F(1)) == erf.value_at(F(1)) == F(1)
+    with pytest.raises(ZeroDivisionError):
+        TransferFunction(a, Polynomial([0, 1])).at_origin()
+
+
 def test_series_of_ratio_examples():
     one = Polynomial([1])
     geo = series_of_ratio(one, Polynomial([1, 1]), 4)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import _oracles
 from besselpade.core import Polynomial, TransferFunction, poly_scale_substitute
 from besselpade.pade import (
     PadeIndex,
@@ -51,6 +52,13 @@ def test_raw_numerator_denominator_scaling():
     q = pade_denominator(PadeIndex(n, m))
     assert q.coeff(0) == p.coeff(0)
     assert TransferFunction(p, q) == pe(n, m)
+
+
+def test_raw_numerator_matches_the_explicit_sum():
+    # Q_nm(s) = P_mn(-s), unreduced, against the factorial sum for Q_nm
+    for n in range(0, 13):
+        for m in range(0, 13):
+            assert pade_numerator(PadeIndex(n, m)) == _oracles.explicit_pade_numerator(n, m), (n, m)
 
 
 def test_two_routes_agree():

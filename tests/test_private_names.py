@@ -1,0 +1,66 @@
+"""No test reaches a private besselpade name.
+
+Tests exercise the public API only, so internals stay free to change. The
+check walks every test module's AST: an import of a private module or
+name from besselpade, and an attribute or getattr/setattr of a private
+name on a name bound to a besselpade import, are reported. Test helpers
+in tests/_oracles.py are exempt.
+"""
+
+import ast
+import pathlib
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_uses():
+    bad = []
+    for path in sorted(TESTS.rglob("*.py")):
+        if path.name == "_oracles.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()  # local names bound to besselpade imports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "besselpade":
+                        bound.add((alias.asname or alias.name).split(".")[0])
+                        if any(map(private, alias.name.split("."))):
+                            bad.append((path, node.lineno, alias.name))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "besselpade":
+                for alias in node.names:
+                    bound.add(alias.asname or alias.name)
+                    if any(map(private, node.module.split("."))) or private(alias.name):
+                        bad.append((path, node.lineno, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                attr, base = node.attr, node.value
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+                and private(node.args[1].value)
+            ):
+                attr, base = node.args[1].value, node.args[0]
+            else:
+                continue
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                bad.append((path, node.lineno, attr))
+    return bad
+
+
+def test_no_test_imports_a_private_besselpade_name():
+    bad = [
+        f"{path.relative_to(TESTS.parent)}:{line}: private besselpade name {name}"
+        for path, line, name in private_uses()
+    ]
+    assert bad == [], "\n".join(bad)

@@ -55,6 +55,34 @@ def test_magnitude_squared_allpass_is_constant():
     assert ms.denominator == Polynomial([1])
 
 
+def test_magnitude_squared_matches_the_para_conjugate_product():
+    # |H(j*omega)|^2 from the even/odd split equals the full product
+    # N(s)N(-s) / D(s)D(-s) with s^2 -> -u
+    local = random.Random(4471)
+    tfs = [pe(n, m) for n in range(0, 9) for m in range(0, 9)]
+    tfs += [allpole(n) for n in range(1, 12)]
+    tfs += [
+        budak_tf(BudakParams(m, n, g))
+        for n in range(1, 6)
+        for m in range(0, n + 1)
+        for g in (F(1, 3), F(1), F(2), F(7, 5))
+    ]
+    for _ in range(60):
+        num = Polynomial(
+            [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(local.randint(1, 6))]
+        )
+        den = Polynomial(
+            [F(local.randint(1, 9), local.randint(1, 6))]
+            + [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(local.randint(0, 6))]
+        )
+        tfs.append(TransferFunction(num, den))
+    for tf in tfs:
+        want = EvenRationalFunction(
+            _oracles.para_even(tf.numerator), _oracles.para_even(tf.denominator)
+        )
+        assert magnitude_squared(tf) == want, tf
+
+
 def test_group_delay_fixtures():
     gd = group_delay(pe(3, 2))
     assert gd == EvenRationalFunction(

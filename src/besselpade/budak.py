@@ -3,15 +3,17 @@
 G(s) = K * B_m[2*(gamma-1)*s; 2, 1] / B_n(2*gamma*s; 2, 1),
 K = B_n(0;2,1) / B_m(0;2,1), gamma > 0.
 
-The squared magnitude has a closed double-sum form whose normalized u^j
-coefficients match between numerator and denominator only at special
-gamma. Equating one pair gives (gamma/(gamma-1))^(2j) = A_j with A_j an
-explicit factorial ratio; no gamma can equate two pairs at once, so the
-magnitude flatness order tops out at 2, attained at the roots of
+The squared magnitude comes from one weight table: |B_k(j*omega; 2, 1)|^2
+has normalized u^j coefficient c(k, k-j)/c(k, k), with
+c(k, i) = C(k, i) (2i)!/i! (k+i)!. The normalized u^j coefficients of
+numerator and denominator match only when (gamma/(gamma-1))^(2j) = A_j,
+the ratio of the B_m and B_n weights; no gamma can equate two pairs at
+once, so the magnitude flatness order tops out at 2, attained at the
+roots of
 
     q(gamma) = 2(n-m) gamma^2 - 2(2n-1) gamma + (2n-1),
 
-i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)).
+i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)), the exact j = 1 pair.
 
 The group delay's dependence on gamma is computed directly. Scaling s
 scales the phase slope of `response` in a fixed way: if P has slope
@@ -82,9 +84,7 @@ class BudakParams:
 
 
 def budak_params(m: int, n: int, gamma: Gamma) -> BudakParams:
-    if isinstance(gamma, QuadSurd):
-        return BudakParams(m, n, gamma)
-    return BudakParams(m, n, Fraction(gamma))
+    return BudakParams(m, n, gamma)
 
 
 def budak_tf(params: BudakParams) -> TransferFunction:
@@ -103,35 +103,20 @@ def budak_tf(params: BudakParams) -> TransferFunction:
     return TransferFunction(num, den)
 
 
-def budak_magnitude_closed(params: BudakParams) -> EvenRationalFunction:
-    """Squared magnitude from the closed double-sum form, in u = omega^2.
+def _unit_magnitude(k: int) -> list[Fraction]:
+    """c(k, k-j)/c(k, k) for j = 0..k, c(k, i) = C(k, i) (2i)!/i! (k+i)!:
+    the normalized u^j weights of |B_k(j*omega; 2, 1)|^2."""
+    f = math.factorial
+    c = [math.comb(k, i) * f(2 * i) // f(i) * f(k + i) for i in range(k + 1)]
+    return [Fraction(c[k - j], c[k]) for j in range(k + 1)]
 
-    Prefactor [(2n)!/(2m)!]^2 * m!/n! on the numerator sum; numerator term
-    i carries [2(gamma-1)]^(2(m-i)) at u^(m-i), denominator term k carries
-    (2 gamma)^(2(n-k)) at u^(n-k).
-    """
+
+def budak_magnitude_closed(params: BudakParams) -> EvenRationalFunction:
+    """Squared magnitude from the closed form, in u = omega^2: the weights
+    of B_m and B_n times (2(gamma-1))^(2j) and (2 gamma)^(2j) at u^j."""
     g = params.rational_gamma()
-    m, n = params.m, params.n
-    pre = (
-        Fraction(math.factorial(2 * n), math.factorial(2 * m)) ** 2
-        * Fraction(math.factorial(m), math.factorial(n))
-    )
-    num = [Fraction(0)] * (m + 1)
-    for i in range(m + 1):
-        c = (
-            math.comb(m, i)
-            * Fraction(math.factorial(2 * i), math.factorial(i))
-            * math.factorial(m + i)
-        )
-        num[m - i] = pre * c * (2 * (g - 1)) ** (2 * (m - i))
-    den = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c = (
-            math.comb(n, k)
-            * Fraction(math.factorial(2 * k), math.factorial(k))
-            * math.factorial(n + k)
-        )
-        den[n - k] = c * (2 * g) ** (2 * (n - k))
+    num = [b * (2 * (g - 1)) ** (2 * j) for j, b in enumerate(_unit_magnitude(params.m))]
+    den = [a * (2 * g) ** (2 * j) for j, a in enumerate(_unit_magnitude(params.n))]
     return EvenRationalFunction(Polynomial(num), Polynomial(den))
 
 
@@ -140,16 +125,7 @@ def coefficient_ratio(n: int, m: int, j: int) -> Fraction:
     normalized u^j magnitude coefficients."""
     if not 1 <= j <= m < n:
         raise ValueError("need 1 <= j <= m < n")
-    f = math.factorial
-    n_part = Fraction(
-        f(2 * n) ** 2 * f(n - j) ** 2,
-        f(n) ** 2 * f(2 * (n - j)) * f(2 * n - j),
-    )
-    m_part = Fraction(
-        f(m) ** 2 * f(2 * (m - j)) * f(2 * m - j),
-        f(2 * m) ** 2 * f(m - j) ** 2,
-    )
-    return n_part * m_part
+    return _unit_magnitude(m)[j] / _unit_magnitude(n)[j]
 
 
 @dataclass(frozen=True)
@@ -195,14 +171,9 @@ def gamma_candidates(n: int, m: int, j: int, precision: int = 12) -> GammaSoluti
         digits *= 2
     exact = None
     if j == 1:
-        # r = sqrt(A) = sqrt(p*q)/q for A = p/q; branches rationalize to
-        # (A -+ sqrt(A)) / (A - 1)
-        p, q = a.numerator, a.denominator
-        scale = 1 / (q * (a - 1))
-        exact = (
-            QuadSurd(a / (a - 1), -scale, p * q),
-            QuadSurd(a / (a - 1), scale, p * q),
-        )
+        # the roots of q(gamma) solve (gamma/(gamma-1))^2 = A_1
+        roots = gamma_order2(n, m)
+        exact = (roots.gamma_minus, roots.gamma_plus)
     return GammaSolutions(j, a, plus, minus, precision, exact)
 
 

@@ -22,14 +22,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .budak import BudakParams, budak_tf, gamma_order2, order2_certificate
-from .core import Polynomial, TransferFunction, surd_to_float
+from .core import EvenRationalFunction, Polynomial, TransferFunction, surd_to_float
 from .gbp import GbpParams, classical_bessel, gbp
 from .pade import PadeIndex, pade_exp
 from .response import (
     FlatnessReport,
-    delay_flatness,
+    Quantity,
+    flatness,
     group_delay,
-    magnitude_flatness,
+    magnitude_squared,
     sample,
 )
 from .stability import StabilityReport, Verdict, routh_hurwitz
@@ -109,12 +110,20 @@ def minimum_phase(tf: TransferFunction) -> bool:
     return verdict in (Verdict.STRICT_HURWITZ, Verdict.MARGINAL)
 
 
+def _flatness_or_constant(f: EvenRationalFunction, quantity: Quantity) -> FlatnessReport:
+    """`response.flatness` of f, or order None and leading deviation 0 when
+    f is exactly constant (the magnitude of an all-pass, for one)."""
+    if f.denominator.degree == 0 and f.numerator.degree <= 0:
+        return FlatnessReport(f.at_origin(), None, Fraction(0), quantity)
+    return flatness(f, quantity=quantity)
+
+
 def design_report(tf: TransferFunction, provenance: dict) -> DesignReport:
     return DesignReport(
         tf,
         routh_hurwitz(tf.denominator),
-        delay_flatness(tf),
-        magnitude_flatness(tf),
+        _flatness_or_constant(group_delay(tf), Quantity.DELAY),
+        _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
         minimum_phase(tf),
         provenance,
     )
@@ -144,6 +153,9 @@ def _emit_report(tf: TransferFunction, provenance: dict, command: str, as_json: 
     print(f"transfer function: {report.tf}")
     print(f"stability: {stab.verdict} (first column {column}; sign changes {stab.sign_changes})")
     for name, flat in (("delay", report.delay), ("magnitude", report.magnitude)):
+        if flat.order is None:
+            print(f"{name} flatness: exactly constant, value at origin {flat.value_at_origin}")
+            continue
         print(
             f"{name} flatness: order {flat.order}, value at origin "
             f"{flat.value_at_origin}, leading deviation {flat.leading_deviation}"

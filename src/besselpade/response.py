@@ -41,11 +41,12 @@ class FlatnessReport:
     """Leading behavior of a quantity near omega = 0.
 
     The deviation f(u) - value_at_origin begins exactly with
-    leading_deviation * u**order.
+    leading_deviation * u**order. Order None, with leading deviation 0,
+    marks an exactly constant quantity; `flatness` itself raises on one.
     """
 
     value_at_origin: Fraction
-    order: int
+    order: Optional[int]
     leading_deviation: Fraction
     quantity: Optional[Quantity] = None
 
@@ -150,7 +151,7 @@ def sample(
 
     Every other point, and every point when a coefficient lies beyond the
     double range, is evaluated exactly at Fraction(omega), H(j*omega)
-    through the even and odd parts P(j*w) = E(-w^2) + j*w*O(-w^2), and
+    through the split P(j*w) = e(w^2) + j*w*o(w^2) of `_jw_split`, and
     rounded once. A point is flagged pole-adjacent, with value inf, when a
     pole lies within a relative distance of 4 eps, by the exact Newton
     test |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is then the pole,
@@ -197,23 +198,22 @@ def _exact_point(
     """f at Fraction(w) in exact arithmetic, rounded once, or flagged with
     value inf when a pole lies within _POLE_RADIUS (relative) of the point."""
     r = Fraction(w)
+    u = r * r
     if isinstance(f, EvenRationalFunction):
-        u = r * r
         d = f.denominator(u)
         if abs(d) <= _POLE_RADIUS * u * abs(f.denominator.derivative()(u)):
             return SamplePoint(w, math.inf, True)
         return SamplePoint(w, _nearest_float(f.numerator(u) / d))
 
-    u = -r * r
-
     def at_jr(p: Polynomial) -> tuple[Fraction, Fraction]:
-        return p.even_part()(u), r * p.odd_part()(u)
+        e, o = _jw_split(p)
+        return e(u), r * o(u)
 
     nr, ni = at_jr(f.numerator)
     dr, di = at_jr(f.denominator)
     sr, si = at_jr(f.denominator.derivative())
     norm = dr * dr + di * di
-    if norm <= _POLE_RADIUS**2 * r * r * (sr * sr + si * si):
+    if norm <= _POLE_RADIUS**2 * u * (sr * sr + si * si):
         return SamplePoint(w, math.inf, True)
     re = _nearest_float((nr * dr + ni * di) / norm)
     im = _nearest_float((ni * dr - nr * di) / norm)

@@ -17,7 +17,11 @@ where the library rewrites the offending row in one pass. The squared
 magnitude oracle forms the full product P(s) * P(-s) and keeps its even
 powers, where the library splits P(j*omega) into even and odd parts. The
 Pade numerator oracle is the explicit factorial sum for Q_nm, where the
-library reflects the denominator with n and m swapped.
+library reflects the denominator with n and m swapped. The Budak
+magnitude oracles are the paper's formulas as printed: the closed
+double sum for |G(j*omega)|^2, the explicit factorial ratio for A_j and
+the rationalized pair (A -+ sqrt(A))/(A - 1) for j = 1, where the library
+reads all three from one table of normalized weights and from q(gamma).
 """
 
 import math
@@ -29,7 +33,9 @@ import mpmath as mp
 from besselpade import (
     BudakParams,
     DelayCoefficientPolys,
+    EvenRationalFunction,
     Polynomial,
+    QuadSurd,
     StabilityReport,
     Verdict,
     budak_tf,
@@ -91,6 +97,66 @@ def explicit_pade_numerator(n, m):
         # (-s)^(m-k) contributes sign (-1)^(m-k) at degree m-k
         coeffs[m - k] = pre * c * (-1) ** (m - k)
     return Polynomial(coeffs)
+
+
+def double_sum_magnitude(m, n, g):
+    """Budak |G(j*omega)|^2 in u = omega^2 from the closed double sum.
+
+    With c(k, i) = C(k, i) (2i)!/i! (k+i)!, numerator term i is
+    [(2n)!/(2m)!]^2 m!/n! * c(m, i) [2(g-1)]^(2(m-i)) at u^(m-i) and
+    denominator term k is c(n, k) (2g)^(2(n-k)) at u^(n-k).
+    """
+    g = Fraction(g)
+    pre = (
+        Fraction(math.factorial(2 * n), math.factorial(2 * m)) ** 2
+        * Fraction(math.factorial(m), math.factorial(n))
+    )
+
+    def c(k, i):
+        return (
+            math.comb(k, i)
+            * Fraction(math.factorial(2 * i), math.factorial(i))
+            * math.factorial(k + i)
+        )
+
+    num = [Fraction(0)] * (m + 1)
+    for i in range(m + 1):
+        num[m - i] = pre * c(m, i) * (2 * (g - 1)) ** (2 * (m - i))
+    den = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        den[n - k] = c(n, k) * (2 * g) ** (2 * (n - k))
+    return EvenRationalFunction(Polynomial(num), Polynomial(den))
+
+
+def factorial_coefficient_ratio(n, m, j):
+    """A_j as the explicit factorial ratio
+
+    (2n)!^2 (n-j)!^2 / (n!^2 (2(n-j))! (2n-j)!)
+      * m!^2 (2(m-j))! (2m-j)! / ((2m)!^2 (m-j)!^2).
+    """
+    f = math.factorial
+    n_part = Fraction(
+        f(2 * n) ** 2 * f(n - j) ** 2,
+        f(n) ** 2 * f(2 * (n - j)) * f(2 * n - j),
+    )
+    m_part = Fraction(
+        f(m) ** 2 * f(2 * (m - j)) * f(2 * m - j),
+        f(2 * m) ** 2 * f(m - j) ** 2,
+    )
+    return n_part * m_part
+
+
+def rationalized_gamma_pair(a):
+    """(A - sqrt(A))/(A - 1) and (A + sqrt(A))/(A - 1) as quadratic surds,
+    the solutions of (gamma/(gamma-1))^2 = A; for A = p/q,
+    sqrt(A) = sqrt(p*q)/q."""
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    scale = 1 / (q * (a - 1))
+    return (
+        QuadSurd(a / (a - 1), -scale, p * q),
+        QuadSurd(a / (a - 1), scale, p * q),
+    )
 
 
 def euclid_gcd(p, q):

@@ -125,6 +125,15 @@ def test_magnitude_closed_equals_symbolic_route():
                 ), (m, n, g)
 
 
+def test_magnitude_closed_matches_double_sum_oracle():
+    for n in range(1, 13):
+        for m in range(0, n + 1):
+            for g in (F(1, 2), F(1), F(2), F(7, 3), F(5, 11)):
+                assert budak_magnitude_closed(
+                    budak_params(m, n, g)
+                ) == _oracles.double_sum_magnitude(m, n, g), (m, n, g)
+
+
 def test_coefficient_ratio_values():
     assert coefficient_ratio(3, 2, 1) == F(5, 3)
     assert coefficient_ratio(3, 2, 2) == F(25, 6)
@@ -136,6 +145,15 @@ def test_coefficient_ratio_from_printed_magnitude():
     num_u2 = F(25, 225)
     den_u2 = F(6, 225)
     assert coefficient_ratio(3, 2, 2) == num_u2 / den_u2
+
+
+def test_coefficient_ratio_matches_factorial_oracle():
+    for n in range(2, 17):
+        for m in range(1, n):
+            for j in range(1, m + 1):
+                assert coefficient_ratio(n, m, j) == _oracles.factorial_coefficient_ratio(
+                    n, m, j
+                ), (n, m, j)
 
 
 def test_coefficient_ratio_positive_and_validated():
@@ -166,6 +184,16 @@ def test_gamma_candidates_exact_pair():
     pair = set(sol.exact)
     roots = gamma_order2(3, 2)
     assert pair == {roots.gamma_plus, roots.gamma_minus}
+
+
+def test_gamma_candidates_exact_pair_matches_rationalized_oracle():
+    # the exact pair exists for j = 1 only; A_1 comes from the oracle too
+    for n in range(2, 17):
+        for m in range(1, n):
+            pair = _oracles.rationalized_gamma_pair(_oracles.factorial_coefficient_ratio(n, m, 1))
+            exact = gamma_candidates(n, m, 1).exact
+            assert exact == pair, (n, m)
+            assert [repr(x) for x in exact] == [repr(x) for x in pair], (n, m)
 
 
 def test_gamma_candidates_enclosures():

@@ -111,6 +111,37 @@ def test_pade_unstable_analyze(capsys):
     assert payload["minimum_phase"] is True
 
 
+def test_all_pass_magnitude_is_exactly_constant_json(capsys):
+    payload = run_json(capsys, ["analyze", "--source", "pade:3,3", "--json"])
+    assert payload["magnitude_flatness"] == {
+        "quantity": "MagnitudeSquared",
+        "value_at_origin": "1",
+        "order": None,
+        "leading_deviation": "0",
+    }
+    assert payload["delay_flatness"]["order"] == 3
+    assert payload["delay_flatness"]["leading_deviation"] == "-1/14400"
+    # the diagonal Budak member at gamma = 1/2 is the same all-pass
+    budak = run_json(capsys, ["analyze", "--source", "budak:3,3,1/2", "--json"])
+    assert budak["magnitude_flatness"] == payload["magnitude_flatness"]
+    assert budak["transfer_function"] == payload["transfer_function"]
+
+
+def test_all_pass_magnitude_is_exactly_constant_plain(capsys):
+    code, out, err = run(capsys, ["analyze", "--source", "pade:3,3"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[2] == "delay flatness: order 3, value at origin 1, leading deviation -1/14400"
+    assert lines[3] == "magnitude flatness: exactly constant, value at origin 1"
+
+
+def test_pade_analyze_all_pass(capsys):
+    code, out, err = run(capsys, ["pade", "--n", "4", "--m", "4", "--analyze"])
+    assert code == 0, err
+    assert "magnitude flatness: exactly constant, value at origin 1" in out.splitlines()
+    assert "delay flatness: order 4, value at origin 1, leading deviation -1/2822400" in out
+
+
 def test_budak_analyze_json(capsys):
     payload = run_json(
         capsys, ["budak", "--m", "2", "--n", "3", "--gamma", "2", "--json"]

@@ -43,6 +43,7 @@ from .core import (
     QuadSurd,
     TransferFunction,
     EvenRationalFunction,
+    _convolve,
     interpolate,
     nth_root_enclosure,
     poly_gcd,
@@ -302,19 +303,12 @@ class DelayCoefficientPolys:
 # Z[gamma][u] arithmetic for the delay block, on plain ints: a polynomial
 # in gamma is a list of its coefficients, a polynomial in u a list of
 # polynomials in gamma, both in ascending powers; trailing zeros are allowed.
+# Polynomials in gamma multiply by `core._convolve`, the kernel of
+# `Polynomial.__mul__`.
 
 
 def _gamma_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
     return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _gamma_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                out[i + k] += x * y
-    return out
 
 
 def _u_add(p: list[list[int]], q: list[list[int]], sign: int = 1) -> list[list[int]]:
@@ -325,7 +319,7 @@ def _u_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(len(p) + len(q) - 1)]
     for i, a in enumerate(p):
         for k, b in enumerate(q):
-            out[i + k] = _gamma_add(out[i + k], _gamma_mul(a, b))
+            out[i + k] = _gamma_add(out[i + k], _convolve(a, b))
     return out
 
 
@@ -338,7 +332,7 @@ def _scaled_phase_slope(
     num, den = _phase_slope(p)
     powers = [[1]]
     for _ in range(max(2 * den.degree, 2 * num.degree + 1)):
-        powers.append(_gamma_mul(powers[-1], sigma))
+        powers.append(_convolve(powers[-1], sigma))
     return (
         [[int(c) * x for x in powers[2 * k + 1]] for k, c in enumerate(num.coefficients)],
         [[int(c) * x for x in powers[2 * k]] for k, c in enumerate(den.coefficients)],

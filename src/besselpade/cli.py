@@ -118,10 +118,20 @@ def _flatness_or_constant(f: EvenRationalFunction, quantity: Quantity) -> Flatne
     return flatness(f, quantity=quantity)
 
 
+def _pole_stability(tf: TransferFunction) -> StabilityReport:
+    """`routh_hurwitz` of the denominator, or StrictHurwitz with first
+    column (d0,) when it is a constant d0 (vacuous without poles, as
+    `minimum_phase` is without zeros)."""
+    den = tf.denominator
+    if den.degree == 0:
+        return StabilityReport(Verdict.STRICT_HURWITZ, (den.coeff(0),), 0, ())
+    return routh_hurwitz(den)
+
+
 def design_report(tf: TransferFunction, provenance: dict) -> DesignReport:
     return DesignReport(
         tf,
-        routh_hurwitz(tf.denominator),
+        _pole_stability(tf),
         _flatness_or_constant(group_delay(tf), Quantity.DELAY),
         _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
         minimum_phase(tf),

@@ -7,8 +7,13 @@ rounded decimal rendering of surds in one step, from exact comparisons
 and one integer square root.
 
 Every coefficient is a `fractions.Fraction`, so all operations here are
-exact. All values are immutable after construction and every operation is a
-pure function; instances may be freely shared across threads. (A
+exact. A product of polynomials runs on plain ints: each factor is
+written as an integer polynomial over the lcm of its denominators, the
+integer lists are convolved, and every coefficient is divided once by
+the product of the two lcms. So a product pays one gcd per result
+coefficient instead of one per pair of coefficients. All values are
+immutable after construction and every operation is a pure function;
+instances may be freely shared across threads. (A
 `Polynomial` fills one cache slot, its float coefficients, on its first
 float evaluation; two threads racing to fill it store equal values.)
 
@@ -31,6 +36,19 @@ _ONE = Fraction(1)
 
 def _frac(x: Coefficient) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two ascending integer coefficient lists, schoolbook,
+    skipping the zero entries of both; nonempty a and b give
+    len(a) + len(b) - 1 entries, trailing zeros kept."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(k, y) for k, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for k, y in terms:
+                out[i + k] += x * y
+    return out
 
 
 class Polynomial:
@@ -128,13 +146,12 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial()
-            out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            # (A / La) * (B / Lb) = (A * B) / (La * Lb), A and B over Z
+            la, a = self._cleared()
+            lb, b = other._cleared()
+            den = la * lb
+            out = _convolve(a, b)
+            return Polynomial(out if den == 1 else [Fraction(c, den) for c in out])
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self._coeffs])
         return NotImplemented
@@ -507,14 +524,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            out = [_ZERO] * n
-            for i in range(n):
-                a = self._coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(n - i):
-                    out[i + j] += a * other._coeffs[j]
-            return TruncatedSeries(out)
+            prod = Polynomial(self._coeffs[:n]) * Polynomial(other._coeffs[:n])
+            return TruncatedSeries([prod.coeff(k) for k in range(n)])
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented

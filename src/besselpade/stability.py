@@ -1,8 +1,21 @@
 """Exact Routh-Hurwitz classification.
 
-The array is computed over rationals with no epsilon perturbation, in one
-pass of n + 1 rows. Two degeneracies are rewritten in place, so every row
-keeps its full degree and a nonzero leading entry:
+The array is computed exactly, with no epsilon perturbation, in one pass
+of n + 1 rows. Each rational row R_i is held as integers T_i over one
+positive denominator d_i, R_i = T_i / d_i. The first two rows are the
+coefficients of p with its denominators cleared, over their lcm. The
+rational recurrence
+
+    R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
+
+becomes T_{i+1}[j] = T_i[0] T_{i-1}[j+1] - T_{i-1}[0] T_i[j+1] over
+d_{i+1} = d_{i-1} T_i[0], after which the gcd of d_{i+1} and the row is
+divided out and the sign of d_{i+1} moved into T_{i+1}. Every step is
+exact, so R_i[0] is exactly T_i[0] / d_i; only that column is built as
+Fractions, and since d_i > 0 its signs are those of the integers T_i[0].
+Two degeneracies are rewritten in place, on the integers alone (a zero
+row takes the denominator of the row above, a zero pivot keeps its own),
+so every row keeps its full degree and a nonzero leading entry:
 
 * a full zero row is replaced by the derivative of the auxiliary
   polynomial read off the row above (covers imaginary-axis roots,
@@ -28,6 +41,7 @@ Marginal (roots on the imaginary axis, none strictly right), NotHurwitz.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -63,53 +77,62 @@ class StabilityReport:
     degenerate_rows: tuple[int, ...]
 
 
-def _routh_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int], int | None]:
-    """All n+1 rows of the array, every degenerate row replaced in place.
+def _routh_leading(p: Polynomial) -> tuple[list[tuple[int, int]], list[int], int | None]:
+    """The leading entries of all n+1 rows, every degenerate row replaced
+    in place.
 
-    Returns the rows, the indices of the zero rows, and the index of the
-    first zero pivot (None when there is none).
+    Row i is held as integers T_i over one positive denominator d_i (see
+    the module docstring). Returns the pairs (T_i[0], d_i), the indices of
+    the zero rows, and the index of the first zero pivot (None when there
+    is none).
     """
     n = p.degree
     width = n // 2 + 1
     degenerate: list[int] = []
     first_pivot = None
 
-    # coeff is zero at negative powers and past the degree
-    rows = [[p.coeff(top - 2 * j) for j in range(width)] for top in (n, n - 1)]
+    den, ints = p._cleared()
+    # entry j of the first two rows is the coefficient of s^(top - 2j),
+    # zero at negative powers
+    above, row = (
+        [ints[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
+    )
+    d_above = d_row = den
+    leading = [(above[0], den)]
     for i in range(1, n + 1):
-        row = rows[i]
-        if all(c == 0 for c in row):
+        if not any(row):
             degenerate.append(i)
-            above = rows[i - 1]
             # derivative of the auxiliary polynomial of the row above:
             # entry j sits at power (n - i) - 2j
-            rows[i] = [(n - i + 1 - 2 * j) * above[j] for j in range(width)]
-            row = rows[i]
+            row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
+            d_row = d_above
         elif row[0] == 0:
             if first_pivot is None:
                 first_pivot = i
             # k leading zeros: multiply the row by 1 + (-s^2)^k
-            k = next(j for j, c in enumerate(row) if c != 0)
+            k = next(j for j, c in enumerate(row) if c)
             sign = (-1) ** k
-            rows[i] = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
-            row = rows[i]
+            row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+        leading.append((row[0], d_row))
         if i == n:
             break
-        prev, prev2 = rows[i], rows[i - 1]
-        pivot = prev[0]
-        nxt = [
-            (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
-            if j + 1 < width
-            else Fraction(0)
-            for j in range(width)
-        ]
-        rows.append(nxt)
-    return rows, degenerate, first_pivot
+        # R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
+        # is nxt[j] / (d_{i-1} T_i[0]) for R_i = T_i / d_i
+        pivot, pivot_above = row[0], above[0]
+        nxt = [pivot * above[j + 1] - pivot_above * row[j + 1] for j in range(width - 1)]
+        nxt.append(0)
+        d_nxt = d_above * pivot
+        g = math.gcd(d_nxt, *nxt)
+        if d_nxt < 0:
+            g = -g
+        above, d_above = row, d_row
+        row, d_row = [c // g for c in nxt], d_nxt // g
+    return leading, degenerate, first_pivot
 
 
-def _sign_changes(column: Sequence[Fraction]) -> int:
+def _sign_changes(leading: Sequence[int]) -> int:
     changes = 0
-    for a, b in zip(column, column[1:]):
+    for a, b in zip(leading, leading[1:]):
         if (a > 0) != (b > 0):
             changes += 1
     return changes
@@ -121,9 +144,10 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         raise ValueError("need a nonzero polynomial of degree at least 1")
     if p.leading < 0:
         p = p * Fraction(-1)
-    rows, degenerate, first_pivot = _routh_rows(p)
-    column = tuple(r[0] for r in rows)
-    changes = _sign_changes(column)
+    leading, degenerate, first_pivot = _routh_leading(p)
+    # d_i > 0, so T_i[0] has the sign of the column entry T_i[0] / d_i
+    changes = _sign_changes([t for t, _ in leading])
+    column = tuple(Fraction(t, d) for t, d in leading)
     if first_pivot is not None:
         column = column[:first_pivot] + (Fraction(0),)
         degenerate = [first_pivot]

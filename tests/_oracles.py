@@ -22,6 +22,10 @@ magnitude oracles are the paper's formulas as printed: the closed
 double sum for |G(j*omega)|^2, the explicit factorial ratio for A_j and
 the rationalized pair (A -+ sqrt(A))/(A - 1) for j = 1, where the library
 reads all three from one table of normalized weights and from q(gamma).
+The product oracle is the schoolbook convolution over Fraction
+coefficients, and the rational Routh oracle runs the one-pass array with
+every row over Q, where the library clears denominators and runs both
+over the integers.
 """
 
 import math
@@ -379,7 +383,7 @@ def _continuation_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
     return rows, degenerate
 
 
-def _continuation_sign_changes(column: Sequence[Fraction]) -> int:
+def _sign_changes(column: Sequence[Fraction]) -> int:
     changes = 0
     for a, b in zip(column, column[1:]):
         if (a > 0) != (b > 0):
@@ -402,7 +406,7 @@ def continuation_routh_hurwitz(p: Polynomial) -> StabilityReport:
     except _ZeroPivot as zp:
         return _classify_after_pivot(p, zp)
     column = tuple(r[0] for r in rows)
-    changes = _continuation_sign_changes(column)
+    changes = _sign_changes(column)
     if changes > 0:
         verdict = Verdict.NOT_HURWITZ
     elif degenerate:
@@ -421,7 +425,84 @@ def _classify_after_pivot(p: Polynomial, zp: _ZeroPivot) -> StabilityReport:
             rows, _ = _continuation_rows(shifted)
         except _ZeroPivot:
             continue
-        changes = _continuation_sign_changes([r[0] for r in rows])
+        changes = _sign_changes([r[0] for r in rows])
         verdict = Verdict.NOT_HURWITZ if changes > 0 else Verdict.MARGINAL
         return StabilityReport(verdict, partial, changes, (zp.row_index,))
     raise ArithmeticError("zero-pivot continuation failed for 50 shift factors")
+
+
+def fraction_product(p, q):
+    """p * q by the schoolbook convolution over the Fraction coefficients."""
+    a, b = p.coefficients, q.coefficients
+    if not a or not b:
+        return Polynomial()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return Polynomial(out)
+
+
+def _rational_routh_rows(p):
+    """All n+1 rows of the array over Q, every degenerate row replaced in
+    place (a zero row by the derivative of the auxiliary polynomial above
+    it, a row with k leading zeros by its product with 1 + (-s^2)^k).
+
+    Returns the rows, the indices of the zero rows, and the index of the
+    first zero pivot (None when there is none).
+    """
+    n = p.degree
+    width = n // 2 + 1
+    degenerate = []
+    first_pivot = None
+    rows = [[p.coeff(top - 2 * j) for j in range(width)] for top in (n, n - 1)]
+    for i in range(1, n + 1):
+        row = rows[i]
+        if all(c == 0 for c in row):
+            degenerate.append(i)
+            above = rows[i - 1]
+            rows[i] = [(n - i + 1 - 2 * j) * above[j] for j in range(width)]
+            row = rows[i]
+        elif row[0] == 0:
+            if first_pivot is None:
+                first_pivot = i
+            k = next(j for j, c in enumerate(row) if c != 0)
+            sign = (-1) ** k
+            rows[i] = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+            row = rows[i]
+        if i == n:
+            break
+        prev, prev2 = rows[i], rows[i - 1]
+        pivot = prev[0]
+        rows.append(
+            [
+                (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
+                if j + 1 < width
+                else Fraction(0)
+                for j in range(width)
+            ]
+        )
+    return rows, degenerate, first_pivot
+
+
+def rational_routh_hurwitz(p):
+    """The one-pass Routh classification with every row over Q."""
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a nonzero polynomial of degree at least 1")
+    if p.leading < 0:
+        p = -p
+    rows, degenerate, first_pivot = _rational_routh_rows(p)
+    column = tuple(r[0] for r in rows)
+    changes = _sign_changes(column)
+    if first_pivot is not None:
+        column = column[:first_pivot] + (Fraction(0),)
+        degenerate = [first_pivot]
+    if changes > 0:
+        verdict = Verdict.NOT_HURWITZ
+    elif degenerate:
+        verdict = Verdict.MARGINAL
+    else:
+        verdict = Verdict.STRICT_HURWITZ
+    return StabilityReport(verdict, column, changes, tuple(degenerate))

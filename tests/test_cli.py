@@ -142,6 +142,51 @@ def test_pade_analyze_all_pass(capsys):
     assert "delay flatness: order 4, value at origin 1, leading deviation -1/2822400" in out
 
 
+def test_constant_denominator_is_vacuously_hurwitz_json(capsys):
+    # no poles: StrictHurwitz with the constant as the whole first column
+    stability = {
+        "verdict": "StrictHurwitz",
+        "routh_first_column": ["1"],
+        "sign_changes": 0,
+        "degenerate_rows": [],
+    }
+    payload = run_json(capsys, ["analyze", "--source", "pade:0,3", "--json"])
+    assert payload["transfer_function"]["den"] == ["1"]
+    assert payload["stability"] == stability
+    assert payload["delay_flatness"]["order"] == 2
+    assert payload["delay_flatness"]["leading_deviation"] == "1/6"
+    assert payload["magnitude_flatness"]["order"] == 2
+    assert payload["magnitude_flatness"]["leading_deviation"] == "-1/12"
+    assert payload["minimum_phase"] is False
+    payload = run_json(capsys, ["pade", "--n", "0", "--m", "0", "--analyze", "--json"])
+    assert payload["transfer_function"]["rendered"] == "1 / 1"
+    assert payload["stability"] == stability
+    assert payload["delay_flatness"]["order"] is None
+    assert payload["magnitude_flatness"]["order"] is None
+    assert payload["minimum_phase"] is True
+
+
+def test_constant_denominator_is_vacuously_hurwitz_plain(capsys):
+    code, out, err = run(capsys, ["analyze", "--source", "pade:0,3"])
+    assert code == 0, err
+    assert out.splitlines() == [
+        "transfer function: (-1/6 s^3 + 1/2 s^2 - s + 1) / 1",
+        "stability: StrictHurwitz (first column 1; sign changes 0)",
+        "delay flatness: order 2, value at origin 1, leading deviation 1/6",
+        "magnitude flatness: order 2, value at origin 1, leading deviation -1/12",
+        "minimum phase: no",
+    ]
+    code, out, err = run(capsys, ["pade", "--n", "0", "--m", "0", "--analyze"])
+    assert code == 0, err
+    assert out.splitlines() == [
+        "transfer function: 1 / 1",
+        "stability: StrictHurwitz (first column 1; sign changes 0)",
+        "delay flatness: exactly constant, value at origin 0",
+        "magnitude flatness: exactly constant, value at origin 1",
+        "minimum phase: yes",
+    ]
+
+
 def test_budak_analyze_json(capsys):
     payload = run_json(
         capsys, ["budak", "--m", "2", "--n", "3", "--gamma", "2", "--json"]

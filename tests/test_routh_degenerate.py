@@ -3,7 +3,8 @@
 Polynomials are built from factors with known roots, so the number of
 right-half-plane roots is known exactly and `sign_changes` must equal it.
 Where the (s + a) continuation in `_oracles` classifies an input, the
-one-pass report must be identical to it.
+one-pass report must be identical to it, and every report must be
+identical to the same one-pass array run over Q.
 """
 
 import random
@@ -102,3 +103,17 @@ def test_reports_match_the_shift_continuation():
         compared += 1
         pivots += has_zero_pivot(p, report)
     assert compared >= 800 and pivots >= 200
+
+
+def test_reports_match_the_rational_array():
+    # the integer rows against the same one-pass array run over Q
+    inputs = [p for p, _, _ in known_root_polys(79, 1000)] + sparse_polys(80, 1000)
+    zero_rows = pivots = 0
+    for p in inputs:
+        report = routh_hurwitz(p)
+        expected = _oracles.rational_routh_hurwitz(p)
+        assert report == expected, p
+        assert repr(report) == repr(expected), p
+        pivots += has_zero_pivot(p, report)
+        zero_rows += bool(report.degenerate_rows) and not has_zero_pivot(p, report)
+    assert zero_rows >= 200 and pivots >= 200

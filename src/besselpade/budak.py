@@ -44,6 +44,7 @@ from .core import (
     TransferFunction,
     EvenRationalFunction,
     _convolve,
+    _int_add,
     interpolate,
     nth_root_enclosure,
     poly_gcd,
@@ -307,35 +308,31 @@ class DelayCoefficientPolys:
 # `Polynomial.__mul__`.
 
 
-def _gamma_add(a: list[int], b: list[int], sign: int = 1) -> list[int]:
-    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 def _u_add(p: list[list[int]], q: list[list[int]], sign: int = 1) -> list[list[int]]:
-    return [_gamma_add(a, b, sign) for a, b in zip_longest(p, q, fillvalue=[])]
+    return [_int_add(a, b, sign) for a, b in zip_longest(p, q, fillvalue=[])]
 
 
 def _u_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(len(p) + len(q) - 1)]
     for i, a in enumerate(p):
         for k, b in enumerate(q):
-            out[i + k] = _gamma_add(out[i + k], _convolve(a, b))
+            out[i + k] = _int_add(out[i + k], _convolve(a, b))
     return out
 
 
 def _scaled_phase_slope(
     p: Polynomial, sigma: list[int]
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """`response._phase_slope` of p(sigma(gamma) * s) over Z[gamma][u],
-    for p with integer coefficients: the u^k coefficients of num and den
-    times sigma^(2k+1) and sigma^(2k) (see `delay_gamma_polynomials`)."""
+    """`response._phase_slope` of p(sigma(gamma) * s) over Z[gamma][u]:
+    the u^k coefficients of its integer num and den times sigma^(2k+1)
+    and sigma^(2k) (see `delay_gamma_polynomials`)."""
     num, den = _phase_slope(p)
     powers = [[1]]
-    for _ in range(max(2 * den.degree, 2 * num.degree + 1)):
+    for _ in range(max(2 * len(den) - 2, 2 * len(num) - 1)):
         powers.append(_convolve(powers[-1], sigma))
     return (
-        [[int(c) * x for x in powers[2 * k + 1]] for k, c in enumerate(num.coefficients)],
-        [[int(c) * x for x in powers[2 * k]] for k, c in enumerate(den.coefficients)],
+        [[c * x for x in powers[2 * k + 1]] for k, c in enumerate(num)],
+        [[c * x for x in powers[2 * k]] for k, c in enumerate(den)],
     )
 
 

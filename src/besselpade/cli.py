@@ -188,12 +188,23 @@ def _load_tf_file(path: str) -> TransferFunction:
         raise ValueError(f"malformed transfer-function file: {exc}") from exc
     if not isinstance(data, dict) or "num" not in data or "den" not in data:
         raise ValueError('transfer-function file needs "num" and "den" arrays')
+    return TransferFunction(_file_polynomial(data, "num"), _file_polynomial(data, "den"))
+
+
+def _file_polynomial(data: dict, field: str) -> Polynomial:
+    """The `field` array of a transfer-function file: numbers or numeric
+    strings, ascending. Any other value is a usage error naming the field."""
+    value = data[field]
+    if not isinstance(value, list) or not all(
+        isinstance(c, (int, float, str)) and not isinstance(c, bool) for c in value
+    ):
+        raise UsageError(
+            f'"{field}" in a transfer-function file must be an array of numbers or numeric strings'
+        )
     try:
-        num = Polynomial([Fraction(str(c)) for c in data["num"]])
-        den = Polynomial([Fraction(str(c)) for c in data["den"]])
+        return Polynomial([Fraction(str(c)) for c in value])
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coefficient in transfer-function file: {exc}") from exc
-    return TransferFunction(num, den)
+        raise UsageError(f'bad coefficient in "{field}" of transfer-function file: {exc}') from exc
 
 
 def source_tf(spec: str) -> tuple[TransferFunction, dict]:
@@ -555,6 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values outgrow CPython's default int/str conversion limit of
+    # 4300 digits (the Routh column of bessel:200 holds 6400-digit
+    # entries), so it is lifted while a command runs, where the
+    # interpreter has one (3.11, and 3.10.7 on).
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         precision = _precision_from_env()
         return args.func(args, precision)
@@ -564,6 +582,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

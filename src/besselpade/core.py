@@ -11,7 +11,10 @@ exact. A product of polynomials runs on plain ints: each factor is
 written as an integer polynomial over the lcm of its denominators, the
 integer lists are convolved, and every coefficient is divided once by
 the product of the two lcms. So a product pays one gcd per result
-coefficient instead of one per pair of coefficients. All values are
+coefficient instead of one per pair of coefficients. Canonical forms
+first try to prove numerator and denominator coprime modulo the prime
+2^30 - 35, whose residues are one CPython digit each, and run Euclid
+over Q only when that proof fails. All values are
 immutable after construction and every operation is a pure function;
 instances may be freely shared across threads. (A
 `Polynomial` fills one cache slot, its float coefficients, on its first
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 Coefficient = Union[Fraction, int, str]
@@ -49,6 +53,12 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for k, y in terms:
                 out[i + k] += x * y
     return out
+
+
+def _int_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
+    """a + sign * b for ascending integer coefficient lists, trailing
+    zeros kept."""
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 class Polynomial:
@@ -320,8 +330,9 @@ def poly_scale_substitute(p: Polynomial, c: Coefficient) -> Polynomial:
     return p.scale_substitute(c)
 
 
-# 2^61 - 1, a Mersenne prime: residues stay small Python ints.
-_GCD_PRIME = (1 << 61) - 1
+# 2^30 - 35, the largest prime below 2^30: a residue is one CPython
+# digit and a product of two residues two digits.
+_GCD_PRIME = 1073741789
 
 
 def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
@@ -353,7 +364,7 @@ def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor under exact rational arithmetic.
 
-    Coprimality is first checked modulo the prime P = 2^61 - 1, which
+    Coprimality is first checked modulo the prime P = 2^30 - 35, which
     settles the common case (a constant gcd) without Euclid over Q. Let
     A and B be p and q with denominators cleared, and G a primitive
     integer gcd of A and B over Q. By Gauss's lemma G divides A and B in
@@ -365,7 +376,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     s + 1/P, yet their images s and 1 are coprime), so the check is
     skipped. A nonconstant gcd of the images proves nothing either way
     (s and s + P), so it falls through too. Every nonconstant gcd comes
-    from the Euclid loop over Q.
+    from the Euclid loop over Q. Nothing here depends on the size of P;
+    a prime below 2^30 keeps every residue one CPython digit, and a
+    missed proof only costs the Euclid loop, never a different result.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")

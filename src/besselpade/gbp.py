@@ -5,11 +5,20 @@ B_n(s; alpha, beta) = sum_{k=0}^{n} C(n,k) * (n+k+alpha-2)^(k) / beta^k * s^(n-k
 where (q)^(k) is the backward factorial q(q-1)...(q-k+1), empty product 1.
 The k = 0 term supplies the monic s^n head. At alpha = beta = 2 these are
 the classical Bessel filter polynomials.
+
+`gbp` builds the terms t_k of the sum from the ratio
+
+    t_(k+1) / t_k = (n-k)(n+k+alpha-1) / ((k+1) beta),
+
+since C(n,k+1)/C(n,k) = (n-k)/(k+1) and (q+1)^(k+1) = (q+1) (q)^(k). That
+is one exact step per coefficient, where each backward factorial alone
+takes k. When n+k+alpha-1 = 0 for some k < n (alpha an integer from
+2-2n to 1-n), the zero factor carries into every later term, as it does
+in the backward factorial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -48,11 +57,14 @@ def backward_factorial(q: Fraction, k: int) -> Fraction:
 
 def gbp(params: GbpParams) -> Polynomial:
     """Construct B_n(s; alpha, beta) as a monic degree-n polynomial."""
-    n, alpha, beta = params.n, params.alpha, params.beta
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        q = n + k + alpha - 2
-        coeffs[n - k] = math.comb(n, k) * backward_factorial(q, k) / beta**k
+    n = params.n
+    a, b = params.alpha.numerator, params.alpha.denominator
+    c, d = params.beta.numerator, params.beta.denominator
+    coeffs = [Fraction(1)] * (n + 1)
+    for k in range(n):
+        # the term ratio of the module docstring, alpha = a/b, beta = c/d
+        step = Fraction((n - k) * ((n + k - 1) * b + a) * d, (k + 1) * b * c)
+        coeffs[n - k - 1] = coeffs[n - k] * step
     return Polynomial(coeffs)
 
 

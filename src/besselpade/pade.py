@@ -2,11 +2,15 @@
 
 Two independent constructions of the same canonical rational function:
 
-* `pade_exp` from the explicit factorial sum
-      P_nm(s) = (m!/(n+m)!) sum_{k=0}^{n} C(n,k) ((m+k)!/m!) s^(n-k)
+* `pade_exp` from the explicit factorial sum, over the integers:
+      (n+m)! P_nm(s) = sum_{k=0}^{n} C(n,k) (m+k)! s^(n-k)
   and the numerator Q_nm(s) = P_mn(-s), the denominator with the roles
   of n and m swapped, evaluated at -s:
-      Q_nm(s) = (n!/(n+m)!) sum_{k=0}^{m} C(m,k) ((n+k)!/n!) (-s)^(m-k)
+      (n+m)! Q_nm(s) = sum_{k=0}^{m} C(m,k) (n+k)! (-s)^(m-k)
+  Both integer polynomials come from one routine, and the common factor
+  (n+m)! cancels in the canonical form, so `pade_exp` forms no
+  `Fraction` before it; `pade_denominator` and `pade_numerator` divide
+  the same integers by (n+m)!.
 * `pade_via_gbp` from generalized Bessel polynomials
       numerator   (n!/(n+m)!) * B_m(-s; n-m+2, 1)
       denominator (m!/(n+m)!) * B_n( s; m-n+2, 1)
@@ -48,25 +52,35 @@ class PadeIndex:
             raise ValueError("degrees must be non-negative")
 
 
+def _scaled_factor(n: int, m: int, sign: int) -> list[int]:
+    """(n+m)! P_nm(sign*s), ascending: C(n,k) (m+k)! sign^(n-k) at s^(n-k)."""
+    coeffs = [0] * (n + 1)
+    f = math.factorial(m)  # (m+k)!
+    for k in range(n + 1):
+        coeffs[n - k] = math.comb(n, k) * f * sign ** (n - k)
+        f *= m + k + 1
+    return coeffs
+
+
 def pade_numerator(idx: PadeIndex) -> Polynomial:
     """Q_nm before canonical reduction: Q_nm(s) = P_mn(-s)."""
-    return pade_denominator(PadeIndex(idx.m, idx.n)).scale_substitute(-1)
+    scale = math.factorial(idx.n + idx.m)
+    return Polynomial([Fraction(c, scale) for c in _scaled_factor(idx.m, idx.n, -1)])
 
 
 def pade_denominator(idx: PadeIndex) -> Polynomial:
     """P_nm before canonical reduction."""
-    n, m = idx.n, idx.m
-    pre = Fraction(math.factorial(m), math.factorial(n + m))
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c = math.comb(n, k) * Fraction(math.factorial(m + k), math.factorial(m))
-        coeffs[n - k] = pre * c
-    return Polynomial(coeffs)
+    scale = math.factorial(idx.n + idx.m)
+    return Polynomial([Fraction(c, scale) for c in _scaled_factor(idx.n, idx.m, 1)])
 
 
 def pade_exp(idx: PadeIndex) -> TransferFunction:
-    """The (n,m) approximant from the explicit factorial sums."""
-    return TransferFunction(pade_numerator(idx), pade_denominator(idx))
+    """The (n,m) approximant from the explicit factorial sums; the common
+    factor (n+m)! cancels."""
+    n, m = idx.n, idx.m
+    return TransferFunction(
+        Polynomial(_scaled_factor(m, n, -1)), Polynomial(_scaled_factor(n, m, 1))
+    )
 
 
 def pade_via_gbp(idx: PadeIndex) -> TransferFunction:

@@ -1,15 +1,25 @@
 """Frequency-domain analysis in the variable u = omega^2.
 
-Each polynomial is split once as P(j*omega) = e(u) + j*omega*o(u). The
-group delay comes from differentiating the phase:
+Each polynomial is split once, over the integers. With L > 0 the lcm of
+the denominators of P,
+
+    L * P(j*omega) = e(u) + j*omega*o(u),
+
+where e_k and o_k are (-1)^k times the even and odd coefficients of the
+integer polynomial L * P. The group delay comes from differentiating the
+phase:
 
     psi_P(u) = [e*o + 2u*(e*o' - o*e')] / (e^2 + u*o^2)
 
-with the delay of N/D equal to psi_D - psi_N. The squared magnitude
-|P(j*omega)|^2 = e^2 + u*o^2 is exactly psi_P's denominator, so
-|H(j*omega)|^2 is the ratio of those of N and D. Both quantities are
-exact even rational functions; flatness orders fall out of their
-Maclaurin expansions at the origin.
+with the delay of N/D equal to psi_D - psi_N. Numerator and denominator
+of psi_P are both quadratic in (e, o), so L cancels and the delay needs
+no correction. The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2
+is exactly psi_P's denominator, so |H(j*omega)|^2 is the ratio of those
+of N and D, times L_D^2 / L_N^2. Products run on integer lists through
+`core._convolve`; each result becomes two `Polynomial`s once, when it is
+put in canonical form. Both quantities are exact even rational
+functions; flatness orders fall out of their Maclaurin expansions at the
+origin.
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .core import EvenRationalFunction, Polynomial, TransferFunction
+from .core import EvenRationalFunction, Polynomial, TransferFunction, _convolve, _int_add
 
 
 class Quantity(enum.Enum):
@@ -51,30 +61,42 @@ class FlatnessReport:
     quantity: Optional[Quantity] = None
 
 
-_U = Polynomial([0, 1])
+def _jw_split(p: Polynomial) -> tuple[int, list[int], list[int]]:
+    """(L, e, o) with L*P(j*omega) = e(u) + j*omega*o(u), u = omega^2: L > 0
+    the lcm of P's denominators, e and o ascending integer lists."""
+    lcm, c = p._cleared()
+    e, o = c[0::2], c[1::2]
+    e[1::2] = [-x for x in e[1::2]]
+    o[1::2] = [-x for x in o[1::2]]
+    return lcm, e, o
 
 
-def _jw_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(e, o) with P(j*omega) = e(u) + j*omega*o(u), u = omega^2."""
-    return p.even_part().scale_substitute(-1), p.odd_part().scale_substitute(-1)
+def _derivative(c: list[int]) -> list[int]:
+    return [k * x for k, x in enumerate(c)][1:]
 
 
-def _abs_squared(e: Polynomial, o: Polynomial) -> Polynomial:
-    """|P(j*omega)|^2 = e^2 + u*o^2 from the split (e, o) of P."""
-    return e * e + _U * o * o
+def _abs_squared(e: list[int], o: list[int]) -> list[int]:
+    """e^2 + u*o^2 = |L*P(j*omega)|^2 from the split (L, e, o) of P."""
+    return _int_add(_convolve(e, e), [0, *_convolve(o, o)])
 
 
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
-    """|H(j*omega)|^2 as a reduced even rational function of u."""
+    """|H(j*omega)|^2 as a reduced even rational function of u:
+    |N|^2 / |D|^2 = L_D^2 |L_N N|^2 / (L_N^2 |L_D D|^2)."""
+    ln, en, on = _jw_split(tf.numerator)
+    ld, ed, od = _jw_split(tf.denominator)
     return EvenRationalFunction(
-        _abs_squared(*_jw_split(tf.numerator)), _abs_squared(*_jw_split(tf.denominator))
+        Polynomial([ld * ld * c for c in _abs_squared(en, on)]),
+        Polynomial([ln * ln * c for c in _abs_squared(ed, od)]),
     )
 
 
-def _phase_slope(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Numerator and denominator of psi_P(u) = d(arg P(j*omega))/d(omega)."""
-    e, o = _jw_split(p)
-    num = e * o + 2 * _U * (e * o.derivative() - o * e.derivative())
+def _phase_slope(p: Polynomial) -> tuple[list[int], list[int]]:
+    """Numerator and denominator of psi_P(u) = d(arg P(j*omega))/d(omega),
+    as integer lists; the lcm of the split cancels."""
+    _, e, o = _jw_split(p)
+    cross = _int_add(_convolve(e, _derivative(o)), _convolve(o, _derivative(e)), -1)
+    num = _int_add(_convolve(e, o), [0, *(2 * c for c in cross)])
     return num, _abs_squared(e, o)
 
 
@@ -84,7 +106,10 @@ def group_delay(tf: TransferFunction) -> EvenRationalFunction:
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
-    return EvenRationalFunction(dn * nd - nn * dd, dd * nd)
+    return EvenRationalFunction(
+        Polynomial(_int_add(_convolve(dn, nd), _convolve(nn, dd), -1)),
+        Polynomial(_convolve(dd, nd)),
+    )
 
 
 def flatness(
@@ -151,21 +176,22 @@ def sample(
 
     Every other point, and every point when a coefficient lies beyond the
     double range, is evaluated exactly at Fraction(omega), H(j*omega)
-    through the split P(j*w) = e(w^2) + j*w*o(w^2) of `_jw_split`, and
-    rounded once. A point is flagged pole-adjacent, with value inf, when a
-    pole lies within a relative distance of 4 eps, by the exact Newton
-    test |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is then the pole,
-    rounded. Since |x| * |D'(x)| <= deg D * sum |d_k| |x|^k, no point that
-    passes the fast-path gate meets this test, so the flag is the Newton
-    test at every point.
+    through the integer split L*P(j*w) = e(w^2) + j*w*o(w^2) of
+    `_jw_split`, and rounded once. A point is flagged pole-adjacent, with
+    value inf, when a pole lies within a relative distance of 4 eps, by
+    the exact Newton test |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is
+    then the pole, rounded. Since |x| * |D'(x)| <= deg D * sum |d_k| |x|^k,
+    no point that passes the fast-path gate meets this test, so the flag
+    is the Newton test at every point.
     """
     transfer = isinstance(f, TransferFunction)
     num, den = f.numerator, f.denominator
     ws = [float(w) for w in omegas]
+    exact_point = _exact_sampler(f)
     try:
         float(max(abs(c) for p in (num, den) for c in p.coefficients))
     except OverflowError:
-        return [_exact_point(f, w) for w in ws]
+        return [exact_point(w) for w in ws]
     num_gate, den_gate = _horner_gate(num), _horner_gate(den)
     out = []
     for w in ws:
@@ -175,7 +201,7 @@ def sample(
         if abs(d) > den_gate(t) and abs(n) > num_gate(t):
             out.append(SamplePoint(w, n / d))
         else:
-            out.append(_exact_point(f, w))
+            out.append(exact_point(w))
     return out
 
 
@@ -192,32 +218,67 @@ def _horner_gate(p: Polynomial) -> Polynomial:
 _POLE_RADIUS = 4 * Fraction(sys.float_info.epsilon)
 
 
-def _exact_point(
-    f: Union[EvenRationalFunction, TransferFunction], w: float
-) -> SamplePoint:
-    """f at Fraction(w) in exact arithmetic, rounded once, or flagged with
-    value inf when a pole lies within _POLE_RADIUS (relative) of the point."""
-    r = Fraction(w)
-    u = r * r
+def _at(c: list[int], x: Fraction) -> Fraction:
+    """c(x) for an ascending integer list c: with x = a/b, the Horner sum
+    sum_k c_k a^k b^(n-k) runs over Z and is divided by b^n once."""
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c_k in reversed(c):
+        acc = acc * a + c_k * scale
+        scale *= b
+    return Fraction(acc * b, scale)
+
+
+def _exact_sampler(
+    f: Union[EvenRationalFunction, TransferFunction]
+) -> Callable[[float], SamplePoint]:
+    """w -> f at Fraction(w) in exact arithmetic, rounded once, or flagged
+    with value inf when a pole lies within _POLE_RADIUS (relative) of the
+    point.
+
+    Numerator and denominator are cleared to integers over L_N and L_D once,
+    and the value (L_D / L_N) * N/D is rounded once. The Newton test is the
+    same for L_D * D as for D. For a transfer function, L_D * D'(j*w) is
+    read off the split (e, o) of L_D * D: differentiating
+    D(s) = E(s^2) + s*O(s^2) at s = j*w gives
+    D'(j*w) = [o + 2u*o'](u) + j*w*[-2e'](u).
+    """
     if isinstance(f, EvenRationalFunction):
-        d = f.denominator(u)
-        if abs(d) <= _POLE_RADIUS * u * abs(f.denominator.derivative()(u)):
+        ln, num = f.numerator._cleared()
+        ld, den = f.denominator._cleared()
+        slope = _derivative(den)
+        ratio = Fraction(ld, ln)
+
+        def even_point(w: float) -> SamplePoint:
+            u = Fraction(w) ** 2
+            d = _at(den, u)
+            if abs(d) <= _POLE_RADIUS * u * abs(_at(slope, u)):
+                return SamplePoint(w, math.inf, True)
+            return SamplePoint(w, _nearest_float(ratio * _at(num, u) / d))
+
+        return even_point
+
+    ln, ne, no = _jw_split(f.numerator)
+    ld, de, do = _jw_split(f.denominator)
+    se = _int_add(do, [0, *(2 * c for c in _derivative(do))])
+    so = [-2 * c for c in _derivative(de)]
+    ratio = Fraction(ld, ln)
+
+    def transfer_point(w: float) -> SamplePoint:
+        r = Fraction(w)
+        u = r * r
+        nr, ni = _at(ne, u), r * _at(no, u)
+        dr, di = _at(de, u), r * _at(do, u)
+        sr, si = _at(se, u), r * _at(so, u)
+        norm = dr * dr + di * di
+        if norm <= _POLE_RADIUS**2 * u * (sr * sr + si * si):
             return SamplePoint(w, math.inf, True)
-        return SamplePoint(w, _nearest_float(f.numerator(u) / d))
+        scale = ratio / norm
+        re = _nearest_float(scale * (nr * dr + ni * di))
+        im = _nearest_float(scale * (ni * dr - nr * di))
+        return SamplePoint(w, complex(re, im))
 
-    def at_jr(p: Polynomial) -> tuple[Fraction, Fraction]:
-        e, o = _jw_split(p)
-        return e(u), r * o(u)
-
-    nr, ni = at_jr(f.numerator)
-    dr, di = at_jr(f.denominator)
-    sr, si = at_jr(f.denominator.derivative())
-    norm = dr * dr + di * di
-    if norm <= _POLE_RADIUS**2 * u * (sr * sr + si * si):
-        return SamplePoint(w, math.inf, True)
-    re = _nearest_float((nr * dr + ni * di) / norm)
-    im = _nearest_float((ni * dr - nr * di) / norm)
-    return SamplePoint(w, complex(re, im))
+    return transfer_point
 
 
 def _nearest_float(q: Fraction) -> float:

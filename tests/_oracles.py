@@ -25,7 +25,13 @@ reads all three from one table of normalized weights and from q(gamma).
 The product oracle is the schoolbook convolution over Fraction
 coefficients, and the rational Routh oracle runs the one-pass array with
 every row over Q, where the library clears denominators and runs both
-over the integers.
+over the integers. The Fraction analysis oracles split P(j*omega) into
+`Polynomial`s over Q and form the phase slope, group delay and squared
+magnitude as sums of `Polynomial`s, where the library splits L*P over
+the integers and works on integer lists. The source oracles build the
+generalized Bessel polynomial from one backward factorial per term and
+the Pade denominator from the factorial sum with its Fraction
+prefactors, where the library steps the term ratio and clears (n+m)!.
 """
 
 import math
@@ -41,12 +47,14 @@ from besselpade import (
     Polynomial,
     QuadSurd,
     StabilityReport,
+    TransferFunction,
     Verdict,
     budak_tf,
     gamma_candidates,
     group_delay,
     interpolate,
 )
+from besselpade.gbp import backward_factorial
 
 
 def _polyval(poly, x):
@@ -506,3 +514,69 @@ def rational_routh_hurwitz(p):
     else:
         verdict = Verdict.STRICT_HURWITZ
     return StabilityReport(verdict, column, changes, tuple(degenerate))
+
+
+_U = Polynomial([0, 1])
+
+
+def fraction_jw_split(p):
+    """(e, o) over Q with P(j*omega) = e(u) + j*omega*o(u), u = omega^2."""
+    return p.even_part().scale_substitute(-1), p.odd_part().scale_substitute(-1)
+
+
+def _fraction_abs_squared(e, o):
+    return e * e + _U * o * o
+
+
+def fraction_phase_slope(p):
+    """Numerator and denominator of d(arg P(j*omega))/d(omega) over Q."""
+    e, o = fraction_jw_split(p)
+    num = e * o + 2 * _U * (e * o.derivative() - o * e.derivative())
+    return num, _fraction_abs_squared(e, o)
+
+
+def fraction_group_delay(tf):
+    """psi_D - psi_N from the Fraction phase slopes."""
+    if tf.numerator.coeff(0) == 0 or tf.denominator.coeff(0) == 0:
+        raise ValueError("phase undefined: zero at the origin")
+    dn, dd = fraction_phase_slope(tf.denominator)
+    nn, nd = fraction_phase_slope(tf.numerator)
+    return EvenRationalFunction(dn * nd - nn * dd, dd * nd)
+
+
+def fraction_magnitude_squared(tf):
+    """|N(j*omega)|^2 / |D(j*omega)|^2 from the Fraction splits."""
+    return EvenRationalFunction(
+        _fraction_abs_squared(*fraction_jw_split(tf.numerator)),
+        _fraction_abs_squared(*fraction_jw_split(tf.denominator)),
+    )
+
+
+def backward_factorial_gbp(n, alpha, beta):
+    """B_n(s; alpha, beta) = sum_k C(n,k) (n+k+alpha-2)^(k) / beta^k s^(n-k),
+    one backward factorial per term."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        q = n + k + alpha - 2
+        coeffs[n - k] = math.comb(n, k) * backward_factorial(q, k) / beta**k
+    return Polynomial(coeffs)
+
+
+def factorial_sum_pade_denominator(n, m):
+    """P_nm(s) = (m!/(n+m)!) sum_{k=0}^{n} C(n,k) ((m+k)!/m!) s^(n-k),
+    before canonical reduction."""
+    pre = Fraction(math.factorial(m), math.factorial(n + m))
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        c = math.comb(n, k) * Fraction(math.factorial(m + k), math.factorial(m))
+        coeffs[n - k] = pre * c
+    return Polynomial(coeffs)
+
+
+def factorial_sum_pade_exp(n, m):
+    """The (n,m) approximant from both factorial sums with their Fraction
+    prefactors."""
+    return TransferFunction(
+        explicit_pade_numerator(n, m), factorial_sum_pade_denominator(n, m)
+    )

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -279,6 +280,34 @@ def test_analyze_file_errors(tmp_path, capsys):
     incomplete.write_text(json.dumps({"num": ["1"]}))
     code, _, _ = run(capsys, ["analyze", "--source", f"file:{incomplete}"])
     assert code == 1
+
+
+def test_analyze_file_fields_must_be_arrays_of_numbers(tmp_path, capsys):
+    path = tmp_path / "tf.json"
+    # a string is not read as its characters, nor an object as its keys
+    bad = ["12", {"0": 1, "1": 2}, None, True, 3, [[1], 1], [True], [None], ["abc"]]
+    for field in ("num", "den"):
+        for value in bad:
+            data = {"num": ["1"], "den": ["1", "1"], field: value}
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, ["analyze", "--source", f"file:{path}"])
+            assert code == 2, (field, value)
+            assert out == ""
+            assert err.startswith("error:") and f'"{field}"' in err, err
+    path.write_text(json.dumps({"num": [1, 0.5, "2/3"], "den": ["1", 1]}))
+    payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    assert payload["provenance"]["num"] == ["1", "1/2", "2/3"]
+
+
+def test_analyze_file_coefficient_past_the_int_digit_limit(tmp_path, capsys):
+    # 4400 digits: past CPython's default limit of 4300 for int <-> str
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = tmp_path / "big.json"
+    path.write_text('{"num": [' + "7" * 4400 + '], "den": ["1", "2", 7]}')
+    payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    assert payload["provenance"]["num"] == ["1" * 4400]  # over the monic 7
+    assert payload["provenance"]["den"] == ["1/7", "2/7", "1"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_analyze_bad_specs(capsys):

@@ -5,13 +5,33 @@
 give exactly what the plain computation over Fraction gives: the product
 equal coefficient by coefficient, the stability report equal field by
 field and in its repr.
+
+The analyze path is integer-first too: `pade_exp` and `gbp` build their
+coefficients over the integers or by one exact step per term, and
+`group_delay`, `magnitude_squared` and the exact points of `sample` split
+L*P(j*omega) over the integers. Each must give exactly what the Fraction
+routes of `_oracles` give.
 """
 
 import random
 from fractions import Fraction as F
 
 import _oracles
+from besselpade import (
+    BudakParams,
+    EvenRationalFunction,
+    PadeIndex,
+    TransferFunction,
+    budak_tf,
+    classical_bessel,
+    gbp_of,
+    group_delay,
+    magnitude_squared,
+    pade_exp,
+    sample,
+)
 from besselpade.core import Polynomial, TruncatedSeries
+from besselpade.pade import pade_denominator, pade_numerator
 from besselpade.stability import routh_hurwitz
 
 
@@ -108,3 +128,115 @@ def test_routh_matches_rational_array_on_sparse_rational_polynomials():
             continue
         tried += 1
         _assert_same_report(p)
+
+
+# The rational Budak shape parameters of the benchmark: small
+# denominators, 1/2 < g < 3, g != 1.
+G_VALUES = sorted(
+    {
+        F(p, q)
+        for q in (2, 3, 5)
+        for p in range(1, 3 * q)
+        if F(1, 2) < F(p, q) < 3 and F(p, q) != 1
+    }
+)
+
+
+def assert_analysis_matches(tf):
+    assert magnitude_squared(tf) == _oracles.fraction_magnitude_squared(tf), tf
+    if tf.numerator.coeff(0) == 0 or tf.denominator.coeff(0) == 0:
+        return
+    assert group_delay(tf) == _oracles.fraction_group_delay(tf), tf
+
+
+def test_pade_sources_and_analysis_match_the_factorial_sums():
+    rng = random.Random(20261018)
+    pairs = {(0, 0), (1, 0), (0, 1), (30, 30), (30, 29), (0, 30), (30, 0)}
+    pairs |= {(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(24)}
+    for n, m in sorted(pairs):
+        idx = PadeIndex(n, m)
+        assert pade_denominator(idx) == _oracles.factorial_sum_pade_denominator(n, m)
+        assert pade_numerator(idx) == _oracles.explicit_pade_numerator(n, m)
+        tf = pade_exp(idx)
+        assert tf == _oracles.factorial_sum_pade_exp(n, m), (n, m)
+        assert_analysis_matches(tf)
+
+
+def test_bessel_sources_and_analysis_match_the_backward_factorials():
+    for n in range(61):
+        assert classical_bessel(n) == _oracles.backward_factorial_gbp(n, 2, 2), n
+    rng = random.Random(20261019)
+    for n in sorted({1, 2, 60, *rng.sample(range(3, 60), 6)}):
+        den = classical_bessel(n)
+        assert_analysis_matches(TransferFunction(Polynomial([den.coeff(0)]), den))
+
+
+def test_gbp_matches_the_backward_factorials_for_any_parameters():
+    betas = [F(1), F(-1), F(2, 3), F(-5, 2), F(7)]
+    for n in range(10):
+        # 2-2n..1-n put a zero factor into the later terms
+        alphas = {F(2), F(1, 2), F(-3, 4), F(0), F(-7, 3), F(1 - n), F(2 - 2 * n), F(-n)}
+        alphas |= {F(a) for a in range(2 - 2 * n, 2 - n)}
+        for alpha in sorted(alphas):
+            for beta in betas:
+                got = gbp_of(n, alpha, beta)
+                assert got == _oracles.backward_factorial_gbp(n, alpha, beta), (n, alpha, beta)
+    # alpha = 1-n zeroes the first step, so every term below s^n vanishes
+    assert gbp_of(6, -5, F(2, 3)) == Polynomial.monomial(6)
+    # alpha = 2-2n zeroes only the last step: a zero constant term
+    p = gbp_of(6, -10, 1)
+    assert p.coeff(0) == 0 and p.coeff(1) != 0
+
+
+def test_budak_analysis_matches_over_the_rational_gamma_set():
+    rng = random.Random(20261020)
+    pairs = [(m, n) for n in range(1, 10) for m in sorted({0, 1, n // 2, n - 1, n})]
+    for m, n in pairs:
+        for g in rng.sample(G_VALUES, 3):
+            tf = budak_tf(BudakParams(m, n, g))
+            bm = _oracles.backward_factorial_gbp(m, 2, 1)
+            bn = _oracles.backward_factorial_gbp(n, 2, 1)
+            k = bn.coeff(0) / bm.coeff(0)
+            want = TransferFunction(bm.scale_substitute(2 * (g - 1)) * k, bn.scale_substitute(2 * g))
+            assert tf == want, (m, n, g)
+            assert_analysis_matches(tf)
+
+
+def test_random_transfer_functions_match_the_fraction_analysis():
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(60):
+        # denominators past 2^200 ("huge") and sparse numerators
+        num = random_polynomial(rng, rng.choice(("rational", "sparse", "huge")), 8)
+        den = random_polynomial(rng, rng.choice(("rational", "huge")), 8)
+        if num.is_zero or den.coeff(0) == 0:
+            continue
+        tf = TransferFunction(num, den)
+        assert_analysis_matches(tf)
+        checked += 1
+    assert checked > 40
+
+
+def test_exact_sample_points_keep_the_lcm_ratio():
+    # Coefficients past the double range send every point down the exact
+    # path; non-integer coefficients give numerator and denominator
+    # different lcms.
+    big = F(10) ** 400
+    tf = TransferFunction(
+        Polynomial([big / 3, F(1, 7), F(-5, 11)]),
+        Polynomial([big / 13, big / 90, F(1, 5)]),
+    )
+    omegas = [0.0, 1e-3, 0.5, 1.0, 3.25, 1e10, 1e200, 1e300]
+    for f in (tf, magnitude_squared(tf), group_delay(tf)):
+        for p in sample(f, omegas):
+            assert not p.pole_adjacent
+            r = F(p.omega)
+            if isinstance(f, EvenRationalFunction):
+                want = float(f.numerator(r * r) / f.denominator(r * r))
+            else:
+                (ne, no), (de, do) = (_oracles.fraction_jw_split(q) for q in (f.numerator, f.denominator))
+                nr, ni = ne(r * r), r * no(r * r)
+                dr, di = de(r * r), r * do(r * r)
+                norm = dr * dr + di * di
+                want = complex(float((nr * dr + ni * di) / norm), float((ni * dr - nr * di) / norm))
+            assert p.value == want, (f, p.omega)

@@ -15,18 +15,35 @@ roots of
 
 i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)), the exact j = 1 pair.
 
-The group delay's dependence on gamma is computed directly. Scaling s
-scales the phase slope of `response` in a fixed way: if P has slope
-num(u)/den(u), then P(sigma*s) has slope sigma*num(sigma^2 u) /
-den(sigma^2 u), as polynomials. So the slopes of B_n(s; 2, 1) and
-B_m(s; 2, 1), taken once over the integers, give those of the scaled
-polynomials over Z[gamma][u] by substituting sigma = 2*gamma and
-2*(gamma-1). One canonical group delay at a rational check point
-(gamma = 2 by default) confirms the result and proves its numerator and
-denominator coprime over Q(gamma). The
-resulting integer polynomial block drives the delay-order and order-2
-certificates used at irrational gamma, where no transfer function with
-rational coefficients exists.
+Both gamma analyses read the same weights. With
+A_k(u) = |B_k(j*omega; 2, 1)|^2 = sum_j a_j u^j over the integers, the
+maximally flat delay of the Bessel polynomial (Thomson, Proc. IEE 96,
+1949) makes the phase slope of B_k(s; 2, 1) equal to
+(A_k(u) - lc_k^2 u^k) / (2 A_k(u)), lc_k its leading coefficient.
+Scaling s by sigma turns a slope psi(u) into sigma psi(sigma^2 u); with
+sigma_1 = 2 gamma and sigma_2 = 2(gamma-1) the approximant's delay is
+
+    tau = 1 - [sigma_1^(2n+1) lc_n^2 u^n A_m(sigma_2^2 u)
+               - sigma_2^(2m+1) lc_m^2 u^m A_n(sigma_1^2 u)]
+              / (2 A_n(sigma_1^2 u) A_m(sigma_2^2 u)).
+
+The u^j coefficient of A_n(sigma_1^2 u) is a_j 4^j gamma^(2j), so the
+delay block over Z[gamma][u] is one product of such terms. One canonical
+group delay at a rational gamma proves its two sides coprime over
+Q(gamma); the block drives the delay-order and order-2 certificates at
+irrational gamma, where no transfer function with rational coefficients
+exists.
+
+The magnitude mismatch of index j is alpha_j (2 gamma)^(2j) -
+beta_j (2(gamma-1))^(2j), alpha and beta the normalized weights of B_n
+and B_m. That is also the value of the canonical squared magnitude's
+normalized coefficients: at rational gamma other than 0 and 1 its two
+sides are coprime, Bessel polynomials being irreducible (Filaseta &
+Trifonov, J. reine angew. Math. 550, 2002), and at gamma = 1 the
+numerator is constant. The mismatch is still interpolated from integer
+gamma samples of the closed form, because the benchmark's gamma-compare
+workload counts `core.interpolate` as a stressed layer; once it stops,
+the closed form can be returned as it stands.
 """
 
 from __future__ import annotations
@@ -50,7 +67,7 @@ from .core import (
     poly_gcd,
 )
 from .gbp import gbp_of
-from .response import FlatnessReport, Quantity, _phase_slope, flatness, group_delay
+from .response import FlatnessReport, Quantity, _abs_squared, _jw_split, flatness, group_delay
 from .stability import Verdict, routh_hurwitz
 
 Gamma = Union[Fraction, int, str, QuadSurd]
@@ -207,34 +224,29 @@ def gamma_order2(n: int, m: int) -> Order2Gamma:
     )
 
 
-def _normalized_coeff(p: Polynomial, j: int) -> Fraction:
-    return p.coeff(j) / p.coeff(0)
-
-
 def magnitude_gamma_mismatch(n: int, m: int, j: int) -> Polynomial:
     """Denominator-minus-numerator u^j coefficient, both normalized to
     unit constant term, as an exact polynomial in gamma.
 
-    Recovered by interpolating the canonical squared magnitude at integer
-    gamma samples; a held-out sample and a degree cap verify the
-    polynomial model. j may exceed the numerator degree m, in which case
-    the numerator contributes nothing and the mismatch is the bare
-    denominator coefficient.
+    Interpolated from the closed form alpha_j (2 gamma)^(2j) -
+    beta_j (2(gamma-1))^(2j) of the module docstring at integer gamma; a
+    held-out sample and a degree cap verify the polynomial model. j may
+    exceed the numerator degree m, in which case beta_j = 0 and the
+    mismatch is the bare denominator coefficient.
     """
     if not (1 <= j <= n and 1 <= m < n):
         raise ValueError("need 1 <= m < n and 1 <= j <= n")
     bound = 2 * max(j, m)
+    alpha = _unit_magnitude(n)[j]
+    beta = _unit_magnitude(m)[j] if j <= m else 0
 
-    def mismatch_at(g: Fraction) -> Fraction:
-        mag = budak_magnitude_closed(BudakParams(m, n, g))
-        return _normalized_coeff(mag.denominator, j) - _normalized_coeff(mag.numerator, j)
+    def mismatch_at(t: int) -> Fraction:
+        return alpha * (2 * t) ** (2 * j) - beta * (2 * (t - 1)) ** (2 * j)
 
-    points = [(Fraction(t), mismatch_at(Fraction(t))) for t in range(1, bound + 4)]
-    poly = interpolate(points)
+    poly = interpolate([(t, mismatch_at(t)) for t in range(1, bound + 4)])
     if poly.degree > bound:
         raise ArithmeticError("mismatch interpolation exceeded its degree bound")
-    held_out = Fraction(bound + 4)
-    if poly(held_out) != mismatch_at(held_out):
+    if poly(bound + 4) != mismatch_at(bound + 4):
         raise ArithmeticError("mismatch interpolation failed the held-out check")
     return poly
 
@@ -301,51 +313,6 @@ class DelayCoefficientPolys:
         return self.denominator_polys[i - 1]
 
 
-# Z[gamma][u] arithmetic for the delay block, on plain ints: a polynomial
-# in gamma is a list of its coefficients, a polynomial in u a list of
-# polynomials in gamma, both in ascending powers; trailing zeros are allowed.
-# Polynomials in gamma multiply by `core._convolve`, the kernel of
-# `Polynomial.__mul__`.
-
-
-def _u_add(p: list[list[int]], q: list[list[int]], sign: int = 1) -> list[list[int]]:
-    return [_int_add(a, b, sign) for a, b in zip_longest(p, q, fillvalue=[])]
-
-
-def _u_mul(p: list[list[int]], q: list[list[int]]) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for k, b in enumerate(q):
-            out[i + k] = _int_add(out[i + k], _convolve(a, b))
-    return out
-
-
-def _scaled_phase_slope(
-    p: Polynomial, sigma: list[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """`response._phase_slope` of p(sigma(gamma) * s) over Z[gamma][u]:
-    the u^k coefficients of its integer num and den times sigma^(2k+1)
-    and sigma^(2k) (see `delay_gamma_polynomials`)."""
-    num, den = _phase_slope(p)
-    powers = [[1]]
-    for _ in range(max(2 * len(den) - 2, 2 * len(num) - 1)):
-        powers.append(_convolve(powers[-1], sigma))
-    return (
-        [[c * x for x in powers[2 * k + 1]] for k, c in enumerate(num)],
-        [[c * x for x in powers[2 * k]] for k, c in enumerate(den)],
-    )
-
-
-def _unit_constant_rows(p: list[list[int]], rows: int) -> list[Polynomial]:
-    """The u^1 .. u^rows coefficients of p over its constant term, which
-    must not depend on gamma."""
-    const = p[0]
-    if any(const[1:]):
-        raise ArithmeticError("delay constant term depends on gamma")
-    padded = p + [[]] * (rows + 1 - len(p))
-    return [Polynomial([Fraction(c, const[0]) for c in row]) for row in padded[1 : rows + 1]]
-
-
 def delay_gamma_polynomials(
     m: int,
     n: int,
@@ -354,31 +321,34 @@ def delay_gamma_polynomials(
     """The gamma dependence of every delay coefficient, in one exact pass.
 
     The group delay is unchanged when either polynomial is multiplied by a
-    constant, so K drops out. `response._phase_slope` of B_n(s; 2, 1) and
-    B_m(s; 2, 1) is taken over the integers. If P_sigma(s) = P(sigma s),
-    then e_sigma(u) = e(sigma^2 u) and o_sigma(u) = sigma o(sigma^2 u), so
-    num_sigma(u) = sigma num(sigma^2 u) and den_sigma(u) = den(sigma^2 u)
-    as polynomials; substituting sigma = 2 gamma for B_n and
-    sigma = 2(gamma-1) for B_m gives both slopes over Z[gamma][u], and
-    psi_D - psi_N over a common denominator gives the block.
-    B_k(s; 2, 1) = 2^k B_k(s/2; 2, 2) has
-    p_1/p_0 = 1/2, since b_0 = b_1 for the classical Bessel polynomial, so
-    the delay numerator and denominator both have the constant term
-    (B_n(0) B_m(0))^2, free of gamma (the delay at omega = 0 is
-    gamma - (gamma-1) = 1). Dividing by it and rescaling the whole block to
-    jointly primitive integer polynomials gives the result.
+    constant, so K drops out. Over a common denominator the identity of
+    the module docstring reads
+
+        tau = (2 A_n A_m - [bracket]) / (2 A_n A_m)
+
+    with A_n = A_n(sigma_1^2 u) and A_m = A_m(sigma_2^2 u), whose u^i and
+    u^j coefficients are a_i 4^i gamma^(2i) and b_j 4^j (gamma-1)^(2j).
+    The bracket is sigma_1 times the i = n terms of A_n A_m minus sigma_2
+    times its j = m terms (lc_n^2 = a_n, lc_m^2 = b_m), so each term of the
+    product enters the numerator with weight
+    2 - [i = n] 2 gamma + [j = m] 2(gamma-1). The (n, m) term's weight is
+    0, leaving numerator degree n+m-1 in u. Both sides have the constant
+    term 2 (B_n(0) B_m(0))^2 > 0, free of gamma (the delay at omega = 0 is
+    1). All rows are integer lists; dividing them by their joint gcd gives
+    the jointly primitive block.
 
     The block is checked at rational check points: the default single
     point gamma = 2, or every entry of `gamma_samples` (distinct, never 0
     or 1, more than 2(n+m) of them). At each, the canonical group delay of
-    `budak_tf` normalized to unit constant term must equal the block's
-    values, zeros included, and its denominator must keep full degree
-    n+m. Full degree at one point proves numerator and denominator coprime
-    over Q(gamma): a common factor of positive degree in u would divide the
-    denominator, whose leading coefficient in u is proportional to
-    gamma^(2n) (gamma-1)^(2m) and vanishes only at 0 and 1, so the factor
-    would survive at that point and lower the reduced degree. A failed
-    check raises ArithmeticError naming the point.
+    `budak_tf` must be proportional to the block's values, zeros included
+    (compared by cross-multiplication over the integers), and its
+    denominator must keep full degree n+m. Full degree at one point proves
+    numerator and denominator coprime over Q(gamma): a common factor of
+    positive degree in u would divide the denominator, whose leading
+    coefficient in u is proportional to gamma^(2n) (gamma-1)^(2m) and
+    vanishes only at 0 and 1, so the factor would survive at that point
+    and lower the reduced degree. A failed check raises ArithmeticError
+    naming the point.
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
@@ -394,11 +364,25 @@ def delay_gamma_polynomials(
         if len(checks) <= bound:
             raise ValueError(f"need more than {bound} samples, got {len(checks)}")
 
-    # B_k(s; 2, 1) has integer coefficients
-    dn, dd = _scaled_phase_slope(gbp_of(n, 2, 1), [0, 2])
-    nn, nd = _scaled_phase_slope(gbp_of(m, 2, 1), [-2, 2])
-    num_polys = _unit_constant_rows(_u_add(_u_mul(dn, nd), _u_mul(nn, dd), -1), n + m - 1)
-    den_polys = _unit_constant_rows(_u_mul(dd, nd), n + m)
+    # B_k(s; 2, 1) has integer coefficients, so A_k is an integer list
+    a, b = (_abs_squared(*_jw_split(gbp_of(k, 2, 1))[1:]) for k in (n, m))
+    powers = [[1]]  # (gamma - 1)^k, ascending in gamma
+    for _ in range(2 * m):
+        powers.append(_convolve(powers[-1], [-1, 1]))
+    # the u^k rows of both sides, each an ascending integer list in gamma
+    num: list[list[int]] = [[] for _ in range(n + m)]
+    den: list[list[int]] = [[] for _ in range(n + m + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            # 2 a_i b_j 4^(i+j) gamma^(2i) (gamma-1)^(2j)
+            term = [0] * (2 * i) + [2 * x * y * 4 ** (i + j) * c for c in powers[2 * j]]
+            den[i + j] = _int_add(den[i + j], term)
+            if i < n and j < m:
+                num[i + j] = _int_add(num[i + j], term)
+            elif i < n:  # times gamma
+                num[i + j] = _int_add(num[i + j], [0, *term])
+            elif j < m:  # times 1 - gamma
+                num[i + j] = _int_add(num[i + j], _convolve(term, [1, -1]))
 
     for g in checks:
         delay = group_delay(budak_tf(BudakParams(m, n, g)))
@@ -407,20 +391,23 @@ def delay_gamma_polynomials(
                 f"delay denominator at gamma = {g} has degree "
                 f"{delay.denominator.degree}, not {n + m}: coprimality not shown"
             )
-        for got, polys in ((delay.numerator, num_polys), (delay.denominator, den_polys)):
-            if got * (1 / got.coeff(0)) != Polynomial([1, *(p(g) for p in polys)]):
+        # q^bound times each row at gamma = p/q
+        p, q = g.numerator, g.denominator
+        scaled = [p**k * q ** (bound - k) for k in range(bound + 1)]
+        for got, rows in ((delay.numerator, num), (delay.denominator, den)):
+            want = [sum(c * x for c, x in zip(row, scaled)) for row in rows]
+            _, have = got._cleared()
+            if any(h * want[0] != w * have[0] for h, w in zip_longest(have, want, fillvalue=0)):
                 raise ArithmeticError(f"delay block disagrees with the group delay at gamma = {g}")
 
-    all_coeffs: list[Fraction] = [Fraction(1)]  # the shared unit constant
-    for poly in (*num_polys, *den_polys):
-        all_coeffs.extend(poly.coefficients)
-    lam = 1 / Polynomial(all_coeffs).content()
+    const = den[0][0]  # positive, so the gcd keeps every sign
+    divisor = math.gcd(const, *(c for row in (*num[1:], *den[1:]) for c in row))
     return DelayCoefficientPolys(
         m,
         n,
-        tuple(p * lam for p in num_polys),
-        tuple(p * lam for p in den_polys),
-        lam,
+        tuple(Polynomial([c // divisor for c in row]) for row in num[1:]),
+        tuple(Polynomial([c // divisor for c in row]) for row in den[1:]),
+        Fraction(const // divisor),
     )
 
 

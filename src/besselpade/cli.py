@@ -185,15 +185,18 @@ def _load_tf_file(path: str) -> TransferFunction:
     except OSError as exc:
         raise UsageError(f"cannot read transfer-function file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed transfer-function file: {exc}") from exc
-    if not isinstance(data, dict) or "num" not in data or "den" not in data:
-        raise ValueError('transfer-function file needs "num" and "den" arrays')
+        raise UsageError(f"malformed transfer-function file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("a transfer-function file must hold a JSON object")
     return TransferFunction(_file_polynomial(data, "num"), _file_polynomial(data, "den"))
 
 
 def _file_polynomial(data: dict, field: str) -> Polynomial:
     """The `field` array of a transfer-function file: numbers or numeric
-    strings, ascending. Any other value is a usage error naming the field."""
+    strings, ascending, not all zero. Anything else is a usage error
+    naming the field."""
+    if field not in data:
+        raise UsageError(f'transfer-function file has no "{field}" array')
     value = data[field]
     if not isinstance(value, list) or not all(
         isinstance(c, (int, float, str)) and not isinstance(c, bool) for c in value
@@ -202,9 +205,12 @@ def _file_polynomial(data: dict, field: str) -> Polynomial:
             f'"{field}" in a transfer-function file must be an array of numbers or numeric strings'
         )
     try:
-        return Polynomial([Fraction(str(c)) for c in value])
+        poly = Polynomial([Fraction(str(c)) for c in value])
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f'bad coefficient in "{field}" of transfer-function file: {exc}') from exc
+    if poly.is_zero:
+        raise UsageError(f'"{field}" in a transfer-function file is identically zero')
+    return poly
 
 
 def source_tf(spec: str) -> tuple[TransferFunction, dict]:

@@ -5,9 +5,14 @@ finite difference of the numerically evaluated phase, magnitude is plain
 complex evaluation. mpmath supplies the working precision. The gcd oracle
 is plain Euclid over Q, without the library's modular coprimality check.
 The float evaluation oracle is Horner over the Fraction coefficients.
-The Budak delay-block oracle recovers the block by sampling the canonical
-group delay at rational gamma and interpolating, independently of the
-library's direct computation over Z[gamma]. The decimal-rendering oracle
+The Budak delay-block oracles recover the block by sampling the canonical
+group delay at rational gamma and interpolating, and by substituting
+sigma = 2 gamma and 2(gamma-1) into the Fraction phase slopes of the
+unscaled Bessel polynomials, where the library reads it off the
+maximally-flat-delay identity of the weight table. The magnitude
+mismatch oracle interpolates the normalized coefficients of the
+canonical squared magnitude at integer gamma, where the library samples
+the closed form of the weights. The decimal-rendering oracle
 brackets a surd by exact intervals, doubling their digits until both ends
 round alike, where the library rounds in one step. The mutual-exclusion
 oracle separates the gamma candidates by refined intervals, where the
@@ -49,6 +54,7 @@ from besselpade import (
     StabilityReport,
     TransferFunction,
     Verdict,
+    budak_magnitude_closed,
     budak_tf,
     gamma_candidates,
     group_delay,
@@ -231,10 +237,13 @@ def interpolated_delay_block(m, n, gamma_samples=None):
         return poly
 
     num_polys = [recover(row) for row in num_rows]
-    den_polys = [recover(row) for row in den_rows]
+    return _primitive_block(m, n, num_polys, [recover(row) for row in den_rows])
 
-    # lam makes lam * (the unit constant and every coefficient) integers
-    # with overall gcd 1
+
+def _primitive_block(m, n, num_polys, den_polys):
+    """The block from coefficient polynomials normalized to a unit constant
+    term: lam makes lam * (the unit constant and every coefficient)
+    integers with overall gcd 1."""
     values = [Fraction(1)]
     for poly in (*num_polys, *den_polys):
         values.extend(poly.coefficients)
@@ -252,6 +261,73 @@ def interpolated_delay_block(m, n, gamma_samples=None):
         tuple(p * lam for p in den_polys),
         lam,
     )
+
+
+def _u_product(p, q):
+    """Product of two polynomials in u whose coefficients are Polynomials
+    in gamma, as ascending lists."""
+    out = [Polynomial()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] = out[i + k] + a * b
+    return out
+
+
+def sigma_substituted_delay_block(m, n):
+    """The Budak delay block by sigma-substitution into the phase slopes.
+
+    If P has phase slope num(u)/den(u), then P(sigma s) has slope
+    sigma num(sigma^2 u) / den(sigma^2 u): the u^k coefficients gain
+    sigma^(2k+1) and sigma^(2k). The Fraction slopes of B_n(s; 2, 1) and
+    B_m(s; 2, 1) with sigma = 2 gamma and 2(gamma-1), as Polynomials in
+    gamma, give psi_D - psi_N over Z[gamma][u] as three products; its rows
+    over the gamma-free constant term, scaled jointly primitive, are the
+    block.
+    """
+    slopes = []
+    for k, sigma in ((n, Polynomial([0, 2])), (m, Polynomial([-2, 2]))):
+        num, den = fraction_phase_slope(backward_factorial_gbp(k, 2, 1))
+        slopes.append(
+            (
+                [sigma ** (2 * i + 1) * c for i, c in enumerate(num.coefficients)],
+                [sigma ** (2 * i) * c for i, c in enumerate(den.coefficients)],
+            )
+        )
+    (dn, dd), (nn, nd) = slopes
+    num = [a - b for a, b in zip(_u_product(dn, nd), _u_product(nn, dd))]
+    den = _u_product(dd, nd)
+    const = den[0]
+    if const.degree != 0 or num[0] != const:
+        raise ArithmeticError("delay constant terms differ or depend on gamma")
+    scale = 1 / const.coeff(0)
+    rows = [p * scale for p in num[1 : n + m]]
+    if any(not p.is_zero for p in num[n + m :]):
+        raise ArithmeticError("delay numerator exceeds degree n+m-1")
+    return _primitive_block(m, n, rows, [p * scale for p in den[1:]])
+
+
+def sampled_magnitude_mismatch(n, m, j):
+    """The Budak magnitude mismatch interpolated from canonical magnitudes.
+
+    Each integer gamma sample is the denominator-minus-numerator u^j
+    coefficient of `budak_magnitude_closed`, both over their constant
+    terms; the polynomial through gamma = 1 .. 2 max(j, m) + 3 must keep
+    degree at most 2 max(j, m) and pass a held-out sample.
+    """
+    bound = 2 * max(j, m)
+
+    def mismatch_at(g):
+        mag = budak_magnitude_closed(BudakParams(m, n, g))
+        den, num = mag.denominator, mag.numerator
+        return den.coeff(j) / den.coeff(0) - num.coeff(j) / num.coeff(0)
+
+    samples = [Fraction(t) for t in range(1, bound + 4)]
+    poly = interpolate([(g, mismatch_at(g)) for g in samples])
+    if poly.degree > bound:
+        raise ArithmeticError("mismatch interpolation exceeded its degree bound")
+    if poly(Fraction(bound + 4)) != mismatch_at(Fraction(bound + 4)):
+        raise ArithmeticError("mismatch interpolation failed the held-out check")
+    return poly
 
 
 def _decimal_exponent(v):

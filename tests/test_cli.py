@@ -274,12 +274,30 @@ def test_analyze_file_errors(tmp_path, capsys):
     assert code == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, _ = run(capsys, ["analyze", "--source", f"file:{bad}"])
-    assert code == 1
+    code, _, err = run(capsys, ["analyze", "--source", f"file:{bad}"])
+    assert code == 2
+    assert "malformed transfer-function file" in err
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"num": ["1"]}))
-    code, _, _ = run(capsys, ["analyze", "--source", f"file:{incomplete}"])
-    assert code == 1
+    code, _, err = run(capsys, ["analyze", "--source", f"file:{incomplete}"])
+    assert code == 2
+    assert '"den"' in err
+    for top in ([["1"], ["1", "1"]], "1", None):
+        incomplete.write_text(json.dumps(top))
+        code, out, err = run(capsys, ["analyze", "--source", f"file:{incomplete}"])
+        assert (code, out) == (2, ""), top
+        assert "JSON object" in err, err
+
+
+def test_file_source_identically_zero_field(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    for field in ("num", "den"):
+        for zero in ([], [0], ["0", 0.0, "0/3"]):
+            path.write_text(json.dumps({"num": ["1"], "den": ["1", "1"], field: zero}))
+            for argv in (["analyze"], ["sweep", "--omega-max", "1", "--points", "3"]):
+                code, out, err = run(capsys, [*argv, "--source", f"file:{path}"])
+                assert (code, out) == (2, ""), (field, zero, argv)
+                assert f'"{field}"' in err and "identically zero" in err, err
 
 
 def test_analyze_file_fields_must_be_arrays_of_numbers(tmp_path, capsys):
@@ -550,6 +568,14 @@ def test_compare_json(capsys):
     assert rows[3]["delay_order"] == 3 and rows[3]["magnitude_order"] == 1
     assert rows[3]["minimum_phase"] is None
     assert all(r["stability"] == "StrictHurwitz" for r in rows)
+
+
+@pytest.mark.parametrize("m", [15, 8])
+def test_compare_at_the_paper_scale(capsys, m):
+    payload = run_json(capsys, ["compare", "--n", "16", "--m", str(m), "--json"])
+    budak = [r for r in payload["rows"] if r["variant"] == "budak"]
+    assert len(budak) == 2
+    assert all(r["magnitude_order"] == 2 and r["delay_order"] == m for r in budak)
 
 
 def test_compare_requires_m_below_n(capsys):

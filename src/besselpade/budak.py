@@ -16,9 +16,9 @@ roots of
 i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)), the exact j = 1 pair.
 
 Both gamma analyses read the same weights. With
-A_k(u) = |B_k(j*omega; 2, 1)|^2 = sum_j a_j u^j over the integers, the
-maximally flat delay of the Bessel polynomial (Thomson, Proc. IEE 96,
-1949) makes the phase slope of B_k(s; 2, 1) equal to
+A_k(u) = |B_k(j*omega; 2, 1)|^2 = sum_j a_j u^j, a_j = c(k, k-j)/k! an
+integer, the maximally flat delay of the Bessel polynomial (Thomson,
+Proc. IEE 96, 1949) makes the phase slope of B_k(s; 2, 1) equal to
 (A_k(u) - lc_k^2 u^k) / (2 A_k(u)), lc_k its leading coefficient.
 Scaling s by sigma turns a slope psi(u) into sigma psi(sigma^2 u); with
 sigma_1 = 2 gamma and sigma_2 = 2(gamma-1) the approximant's delay is
@@ -67,7 +67,7 @@ from .core import (
     poly_gcd,
 )
 from .gbp import gbp_of
-from .response import FlatnessReport, Quantity, _abs_squared, _jw_split, flatness, group_delay
+from .response import FlatnessReport, Quantity, flatness, group_delay
 from .stability import Verdict, routh_hurwitz
 
 Gamma = Union[Fraction, int, str, QuadSurd]
@@ -122,12 +122,17 @@ def budak_tf(params: BudakParams) -> TransferFunction:
     return TransferFunction(num, den)
 
 
-def _unit_magnitude(k: int) -> list[Fraction]:
-    """c(k, k-j)/c(k, k) for j = 0..k, c(k, i) = C(k, i) (2i)!/i! (k+i)!:
-    the normalized u^j weights of |B_k(j*omega; 2, 1)|^2."""
+def _weights(k: int) -> list[int]:
+    """c(k, k-j)/k! for j = 0..k, c(k, i) = C(k, i) (2i)!/i! (k+i)!: the
+    u^j coefficients of A_k(u) = |B_k(j*omega; 2, 1)|^2, all integers."""
     f = math.factorial
-    c = [math.comb(k, i) * f(2 * i) // f(i) * f(k + i) for i in range(k + 1)]
-    return [Fraction(c[k - j], c[k]) for j in range(k + 1)]
+    return [math.comb(k, i) * f(2 * i) // f(i) * f(k + i) // f(k) for i in range(k, -1, -1)]
+
+
+def _unit_magnitude(k: int) -> list[Fraction]:
+    """The weights of B_k over their constant term, c(k, k-j)/c(k, k)."""
+    a = _weights(k)
+    return [Fraction(x, a[0]) for x in a]
 
 
 def budak_magnitude_closed(params: BudakParams) -> EvenRationalFunction:
@@ -364,8 +369,7 @@ def delay_gamma_polynomials(
         if len(checks) <= bound:
             raise ValueError(f"need more than {bound} samples, got {len(checks)}")
 
-    # B_k(s; 2, 1) has integer coefficients, so A_k is an integer list
-    a, b = (_abs_squared(*_jw_split(gbp_of(k, 2, 1))[1:]) for k in (n, m))
+    a, b = _weights(n), _weights(m)
     powers = [[1]]  # (gamma - 1)^k, ascending in gamma
     for _ in range(2 * m):
         powers.append(_convolve(powers[-1], [-1, 1]))

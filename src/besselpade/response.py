@@ -102,7 +102,9 @@ def _phase_slope(p: Polynomial) -> tuple[list[int], list[int]]:
 
 def group_delay(tf: TransferFunction) -> EvenRationalFunction:
     """t_d(omega) = -d(arg H(j*omega))/d(omega), exact in u."""
-    if tf.numerator.coeff(0) == 0 or tf.denominator.coeff(0) == 0:
+    if tf.denominator.coeff(0) == 0:
+        raise ValueError("phase undefined: pole at the origin")
+    if tf.numerator.coeff(0) == 0:
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
@@ -175,14 +177,13 @@ def sample(
     Fraction coefficients.
 
     Every other point, and every point when a coefficient lies beyond the
-    double range, is evaluated exactly at Fraction(omega), H(j*omega)
-    through the integer split L*P(j*w) = e(w^2) + j*w*o(w^2) of
-    `_jw_split`, and rounded once. A point is flagged pole-adjacent, with
-    value inf, when a pole lies within a relative distance of 4 eps, by
-    the exact Newton test |D(x)| <= 4 * eps * |x| * |D'(x)|: the point is
-    then the pole, rounded. Since |x| * |D'(x)| <= deg D * sum |d_k| |x|^k,
-    no point that passes the fast-path gate meets this test, so the flag
-    is the Newton test at every point.
+    double range, is exact over the integers and rounded once
+    (`_exact_sampler`). It is flagged pole-adjacent, with value inf, when
+    the exact Newton test |D(x)| <= 4 * eps * |x| * |D'(x)| puts a pole
+    within a relative distance of 4 eps: the point is then the pole,
+    rounded. Since |x| * |D'(x)| <= deg D * sum |d_k| |x|^k, no point that
+    passes the fast-path gate meets this test, so the flag is the Newton
+    test at every point.
     """
     transfer = isinstance(f, TransferFunction)
     num, den = f.numerator, f.denominator
@@ -213,77 +214,66 @@ def _horner_gate(p: Polynomial) -> Polynomial:
     return Polynomial([factor * abs(c) for c in p.coefficients])
 
 
-# A sweep grid point omega_max*i/(points-1) is two roundings, eps in all,
-# from its exact value, and u = omega^2 doubles that; 4 eps covers both.
-_POLE_RADIUS = 4 * Fraction(sys.float_info.epsilon)
-
-
-def _at(c: list[int], x: Fraction) -> Fraction:
-    """c(x) for an ascending integer list c: with x = a/b, the Horner sum
-    sum_k c_k a^k b^(n-k) runs over Z and is divided by b^n once."""
-    a, b = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c_k in reversed(c):
-        acc = acc * a + c_k * scale
-        scale *= b
-    return Fraction(acc * b, scale)
-
-
 def _exact_sampler(
     f: Union[EvenRationalFunction, TransferFunction]
 ) -> Callable[[float], SamplePoint]:
-    """w -> f at Fraction(w) in exact arithmetic, rounded once, or flagged
-    with value inf when a pole lies within _POLE_RADIUS (relative) of the
-    point.
+    """w -> f at w, exact and rounded once, or flagged with value inf by the
+    Newton test |D(x)| <= 4 eps |x| |D'(x)|, 4 eps = 2^-50. A grid point
+    omega_max*i/(points-1) is two roundings, eps in all, from its exact
+    value, and u = omega^2 doubles that; 4 eps covers both.
 
-    Numerator and denominator are cleared to integers over L_N and L_D once,
-    and the value (L_D / L_N) * N/D is rounded once. The Newton test is the
-    same for L_D * D as for D. For a transfer function, L_D * D'(j*w) is
-    read off the split (e, o) of L_D * D: differentiating
-    D(s) = E(s^2) + s*O(s^2) at s = j*w gives
-    D'(j*w) = [o + 2u*o'](u) + j*w*[-2e'](u).
+    A double w is p/q. With N, D and D' cleared to integer lists, N and D
+    padded to one length n + 1, one homogeneous Horner sum over Z[j] gives
+    q^n P(j*p/q), or q^(2n) P(p^2/q^2) for an even function; the Newton
+    test then loses the powers of q, and the value L_D N / (L_N D) is one
+    int / int true division with a positive divisor, so a zero is 0.0.
     """
+    ln, num = f.numerator._cleared()
+    ld, den = f.denominator._cleared()
+    pad = len(den) - len(num)  # [0] * k is empty for k <= 0
+    num, den = num + [0] * pad, den + [0] * -pad
+    slope = _derivative(den)
+
     if isinstance(f, EvenRationalFunction):
-        ln, num = f.numerator._cleared()
-        ld, den = f.denominator._cleared()
-        slope = _derivative(den)
-        ratio = Fraction(ld, ln)
 
         def even_point(w: float) -> SamplePoint:
-            u = Fraction(w) ** 2
-            d = _at(den, u)
-            if abs(d) <= _POLE_RADIUS * u * abs(_at(slope, u)):
+            p, q = w.as_integer_ratio()
+            a, b = p * p, q * q
+            d = _horner(den, a, 0, b)[0]
+            if abs(d) << 50 <= a * abs(_horner(slope, a, 0, b)[0]):
                 return SamplePoint(w, math.inf, True)
-            return SamplePoint(w, _nearest_float(ratio * _at(num, u) / d))
+            n = ld * _horner(num, a, 0, b)[0]
+            return SamplePoint(w, _quotient(n if d > 0 else -n, ln * abs(d)))
 
         return even_point
 
-    ln, ne, no = _jw_split(f.numerator)
-    ld, de, do = _jw_split(f.denominator)
-    se = _int_add(do, [0, *(2 * c for c in _derivative(do))])
-    so = [-2 * c for c in _derivative(de)]
-    ratio = Fraction(ld, ln)
-
     def transfer_point(w: float) -> SamplePoint:
-        r = Fraction(w)
-        u = r * r
-        nr, ni = _at(ne, u), r * _at(no, u)
-        dr, di = _at(de, u), r * _at(do, u)
-        sr, si = _at(se, u), r * _at(so, u)
+        p, q = w.as_integer_ratio()
+        dr, di = _horner(den, 0, p, q)
+        sr, si = _horner(slope, 0, p, q)
         norm = dr * dr + di * di
-        if norm <= _POLE_RADIUS**2 * u * (sr * sr + si * si):
+        if norm << 100 <= p * p * (sr * sr + si * si):
             return SamplePoint(w, math.inf, True)
-        scale = ratio / norm
-        re = _nearest_float(scale * (nr * dr + ni * di))
-        im = _nearest_float(scale * (ni * dr - nr * di))
+        nr, ni = _horner(num, 0, p, q)
+        re = _quotient(ld * (nr * dr + ni * di), ln * norm)
+        im = _quotient(ld * (ni * dr - nr * di), ln * norm)
         return SamplePoint(w, complex(re, im))
 
     return transfer_point
 
 
-def _nearest_float(q: Fraction) -> float:
-    """The double nearest q, or an infinity of its sign beyond the range."""
+def _horner(c: list[int], ar: int, ai: int, b: int) -> tuple[int, int]:
+    """b^n * c((ar + j*ai)/b) as the Gaussian integer (re, im), n = len(c) - 1."""
+    re, im, scale = 0, 0, 1
+    for c_k in reversed(c):
+        re, im = re * ar - im * ai + c_k * scale, re * ai + im * ar
+        scale *= b
+    return re, im
+
+
+def _quotient(n: int, d: int) -> float:
+    """n / d for d > 0, rounded once; an infinity of n's sign beyond the range."""
     try:
-        return float(q)
+        return n / d
     except OverflowError:
-        return math.inf if q > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf

@@ -33,13 +33,17 @@ every row over Q, where the library clears denominators and runs both
 over the integers. The Fraction analysis oracles split P(j*omega) into
 `Polynomial`s over Q and form the phase slope, group delay and squared
 magnitude as sums of `Polynomial`s, where the library splits L*P over
-the integers and works on integer lists. The source oracles build the
+the integers and works on integer lists. The exact sample point oracle
+evaluates those splits at Fraction(omega) and rounds each Fraction once,
+where the library runs one homogeneous Horner sum over the integers at
+omega = p/q and divides two integers. The source oracles build the
 generalized Bessel polynomial from one backward factorial per term and
 the Pade denominator from the factorial sum with its Fraction
 prefactors, where the library steps the term ratio and clears (n+m)!.
 """
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -618,6 +622,39 @@ def fraction_group_delay(tf):
     dn, dd = fraction_phase_slope(tf.denominator)
     nn, nd = fraction_phase_slope(tf.numerator)
     return EvenRationalFunction(dn * nd - nn * dd, dd * nd)
+
+
+def _nearest_float(q):
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def fraction_sample_point(f, omega):
+    """(value, pole_adjacent) of f at Fraction(omega) from the Fraction
+    splits: flagged, with value inf, when |D(x)| <= 4 eps |x| |D'(x)|, and
+    otherwise rounded once, an infinity of its sign beyond the double range."""
+    r = Fraction(omega)
+    radius = 4 * Fraction(sys.float_info.epsilon)
+    if isinstance(f, EvenRationalFunction):
+        u = r * r
+        d = f.denominator(u)
+        if abs(d) <= radius * u * abs(f.denominator.derivative()(u)):
+            return math.inf, True
+        return _nearest_float(f.numerator(u) / d), False
+
+    def at(p):
+        e, o = fraction_jw_split(p)
+        return e(r * r), r * o(r * r)
+
+    (nr, ni), (dr, di) = at(f.numerator), at(f.denominator)
+    sr, si = at(f.denominator.derivative())
+    norm = dr * dr + di * di
+    if norm <= radius**2 * r * r * (sr * sr + si * si):
+        return math.inf, True
+    re, im = (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
+    return complex(_nearest_float(re), _nearest_float(im)), False
 
 
 def fraction_magnitude_squared(tf):

@@ -346,12 +346,17 @@ def test_analyze_bad_specs(capsys):
 
 
 def test_analyze_degenerate_function_exits_1(tmp_path, capsys):
-    # zero at the origin leaves the phase undefined
-    path = tmp_path / "origin_zero.json"
-    path.write_text(json.dumps({"num": ["0", "1"], "den": ["1", "1"]}))
-    code, _, err = run(capsys, ["analyze", "--source", f"file:{path}"])
-    assert code == 1
-    assert "error:" in err
+    # a zero or a pole at the origin leaves the phase undefined
+    for name, tf, message in (
+        ("origin_zero", {"num": ["0", "1"], "den": ["1", "1"]}, "zero at the origin"),
+        ("origin_pole", {"num": [1], "den": [0, 1]}, "pole at the origin"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tf))
+        code, _, err = run(capsys, ["analyze", "--source", f"file:{path}"])
+        assert code == 1
+        assert "error:" in err
+        assert message in err, name
 
 
 def test_sweep_stdout(capsys):

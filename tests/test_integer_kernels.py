@@ -8,12 +8,15 @@ field and in its repr.
 
 The analyze path is integer-first too: `pade_exp` and `gbp` build their
 coefficients over the integers or by one exact step per term, and
-`group_delay`, `magnitude_squared` and the exact points of `sample` split
-L*P(j*omega) over the integers. Each must give exactly what the Fraction
-routes of `_oracles` give.
+`group_delay` and `magnitude_squared` split L*P(j*omega) over the
+integers, and the exact points of `sample` are one homogeneous Horner sum
+over the integers at omega = p/q. Each must give exactly what the Fraction
+routes of `_oracles` give, down to the sign of a zero.
 """
 
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import _oracles
@@ -226,17 +229,28 @@ def test_exact_sample_points_keep_the_lcm_ratio():
         Polynomial([big / 3, F(1, 7), F(-5, 11)]),
         Polynomial([big / 13, big / 90, F(1, 5)]),
     )
-    omegas = [0.0, 1e-3, 0.5, 1.0, 3.25, 1e10, 1e200, 1e300]
-    for f in (tf, magnitude_squared(tf), group_delay(tf)):
+    # poles at s = +-j and -big; values past both ends of the double range
+    poles = TransferFunction(Polynomial([big]), Polynomial([big, 1, big, 1]))
+    huge = TransferFunction(Polynomial([big]), Polynomial([1, 1]))
+    # zero over a negative denominator at omega = 1: the value is 0.0, not
+    # -0.0; poles at u = (3 +- sqrt 5)/2
+    signed = EvenRationalFunction(Polynomial([-big, big]), Polynomial([1, -3, 1]) * Polynomial([big, 1]))
+    omegas = [0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 3.25, 1e10, 1e200, 1e300, sys.float_info.max]
+    # the 4 eps radius ends within 12 steps of each pole
+    for pole in (1.0, ((3 - 5**0.5) / 2) ** 0.5, ((3 + 5**0.5) / 2) ** 0.5):
+        for toward in (0.0, 2.0):
+            w = pole
+            for _ in range(12):
+                w = math.nextafter(w, toward)
+                omegas.append(w)
+    sources = [(g, False) for g in (tf, magnitude_squared(tf), group_delay(tf))]
+    sources += [(g, True) for g in (poles, magnitude_squared(poles), huge, signed)]
+    seen = []
+    for f, has_poles in sources:
         for p in sample(f, omegas):
-            assert not p.pole_adjacent
-            r = F(p.omega)
-            if isinstance(f, EvenRationalFunction):
-                want = float(f.numerator(r * r) / f.denominator(r * r))
-            else:
-                (ne, no), (de, do) = (_oracles.fraction_jw_split(q) for q in (f.numerator, f.denominator))
-                nr, ni = ne(r * r), r * no(r * r)
-                dr, di = de(r * r), r * do(r * r)
-                norm = dr * dr + di * di
-                want = complex(float((nr * dr + ni * di) / norm), float((ni * dr - nr * di) / norm))
-            assert p.value == want, (f, p.omega)
+            assert has_poles or not p.pole_adjacent
+            want = _oracles.fraction_sample_point(f, p.omega)
+            assert (repr(p.value), p.pole_adjacent) == (repr(want[0]), want[1]), (f, p.omega)
+            parts = (p.value.real, p.value.imag) if isinstance(p.value, complex) else (p.value,)
+            seen += [repr(x) for x in parts]
+    assert seen.count("inf") > 10 and "-inf" in seen and "-0.0" in seen and "0.0" in seen

@@ -28,10 +28,10 @@ from .pade import PadeIndex, pade_exp
 from .response import (
     FlatnessReport,
     Quantity,
+    _sample_pairs,
     flatness,
     group_delay,
     magnitude_squared,
-    sample,
 )
 from .stability import StabilityReport, Verdict, routh_hurwitz
 
@@ -380,18 +380,20 @@ def sweep_rows(
     """(omega, magnitude, phase, delay, pole_adjacent) at each grid point.
 
     `response.sample` of H(j*omega) gives magnitude and phase, and of the
-    exact group delay the delay. A row next to a pole of H is flagged and
-    carries inf throughout; the delay alone is inf where the group delay's
-    own denominator flags.
+    exact group delay the delay; the rows read its (value, pole_adjacent)
+    pairs directly. A row next to a pole of H is flagged and carries inf
+    throughout; the delay alone is inf where the group delay's own
+    denominator flags.
     """
-    delay_fn = group_delay(tf)
     omegas = [omega_max * i / (points - 1) for i in range(points)]
+    h_pairs = _sample_pairs(tf, omegas)
+    delay_pairs = _sample_pairs(group_delay(tf), omegas)
     rows = []
-    for h, delay in zip(sample(tf, omegas), sample(delay_fn, omegas)):
-        if h.pole_adjacent:
-            rows.append((h.omega, math.inf, math.inf, math.inf, True))
+    for w, (h, flagged), (delay, _) in zip(omegas, h_pairs, delay_pairs):
+        if flagged:
+            rows.append((w, math.inf, math.inf, math.inf, True))
         else:
-            rows.append((h.omega, abs(h.value), cmath.phase(h.value), delay.value, False))
+            rows.append((w, abs(h), cmath.phase(h), delay, False))
     return rows
 
 

@@ -33,6 +33,9 @@ from typing import Callable, Optional, Sequence, Union
 
 from .core import EvenRationalFunction, Polynomial, TransferFunction, _convolve, _int_add
 
+# (value, pole_adjacent) of one sample point
+_Pair = tuple[Union[float, complex], bool]
+
 
 class Quantity(enum.Enum):
     DELAY = "Delay"
@@ -170,11 +173,14 @@ def sample(
 
     The fast path is double Horner over the coefficients, converted to
     float once. Its quotient is used wherever numerator and denominator
-    each exceed 2^27 times their Horner error bound
+    are each finite and exceed 2^27 times their Horner error bound
     (deg P + 1) * eps * sum |p_k| |x|^k (Higham, Accuracy and Stability of
     Numerical Algorithms, section 5.1), so that both carry about eight
     correct digits; there it is the same to the bit as Horner over the
-    Fraction coefficients.
+    Fraction coefficients. The two bounds run in one loop over their
+    coefficients, each the exact product rounded once to a double. A
+    value that overflows has abs inf, above any finite bound, so only the
+    finite condition keeps it off the fast path.
 
     Every other point, and every point when a coefficient lies beyond the
     double range, is exact over the integers and rounded once
@@ -185,39 +191,52 @@ def sample(
     passes the fast-path gate meets this test, so the flag is the Newton
     test at every point.
     """
+    ws = [float(w) for w in omegas]
+    return [SamplePoint(w, value, flag) for w, (value, flag) in zip(ws, _sample_pairs(f, ws))]
+
+
+def _sample_pairs(
+    f: Union[EvenRationalFunction, TransferFunction], ws: list[float]
+) -> list[_Pair]:
+    """(value, pole_adjacent) at each double w, as `sample` states it."""
     transfer = isinstance(f, TransferFunction)
     num, den = f.numerator, f.denominator
-    ws = [float(w) for w in omegas]
     exact_point = _exact_sampler(f)
     try:
         float(max(abs(c) for p in (num, den) for c in p.coefficients))
     except OverflowError:
         return [exact_point(w) for w in ws]
     num_gate, den_gate = _horner_gate(num), _horner_gate(den)
+    pad = len(den_gate) - len(num_gate)  # leading zeros leave Horner unchanged
+    gates = list(zip(reversed(num_gate + [0.0] * pad), reversed(den_gate + [0.0] * -pad)))
     out = []
     for w in ws:
         x = 1j * w if transfer else w * w
-        n, d = num(x), den(x)
         t = abs(x)
-        if abs(d) > den_gate(t) and abs(n) > num_gate(t):
-            out.append(SamplePoint(w, n / d))
+        gn = gd = 0.0
+        for cn, cd in gates:
+            gn = gn * t + cn
+            gd = gd * t + cd
+        n, d = num(x), den(x)
+        if gd < abs(d) < math.inf and gn < abs(n) < math.inf:
+            out.append((n / d, False))
         else:
             out.append(exact_point(w))
     return out
 
 
-def _horner_gate(p: Polynomial) -> Polynomial:
-    """2^27 * (deg p + 1) * eps * sum |p_k| t^k as a polynomial in t = |x|:
-    a double Horner value of p that exceeds it has about eight correct
-    digits."""
+def _horner_gate(p: Polynomial) -> list[float]:
+    """The ascending coefficients of 2^27 * (deg p + 1) * eps * sum |p_k| t^k,
+    a polynomial in t = |x|, each rounded once: a double Horner value of p
+    that exceeds it has about eight correct digits."""
     factor = 2**27 * (p.degree + 1) * Fraction(sys.float_info.epsilon)
-    return Polynomial([factor * abs(c) for c in p.coefficients])
+    return [float(factor * abs(c)) for c in p.coefficients]
 
 
 def _exact_sampler(
     f: Union[EvenRationalFunction, TransferFunction]
-) -> Callable[[float], SamplePoint]:
-    """w -> f at w, exact and rounded once, or flagged with value inf by the
+) -> Callable[[float], _Pair]:
+    """w -> (f at w, exact and rounded once, False), or (inf, True) by the
     Newton test |D(x)| <= 4 eps |x| |D'(x)|, 4 eps = 2^-50. A grid point
     omega_max*i/(points-1) is two roundings, eps in all, from its exact
     value, and u = omega^2 doubles that; 4 eps covers both.
@@ -236,28 +255,28 @@ def _exact_sampler(
 
     if isinstance(f, EvenRationalFunction):
 
-        def even_point(w: float) -> SamplePoint:
+        def even_point(w: float) -> _Pair:
             p, q = w.as_integer_ratio()
             a, b = p * p, q * q
             d = _horner(den, a, 0, b)[0]
             if abs(d) << 50 <= a * abs(_horner(slope, a, 0, b)[0]):
-                return SamplePoint(w, math.inf, True)
+                return math.inf, True
             n = ld * _horner(num, a, 0, b)[0]
-            return SamplePoint(w, _quotient(n if d > 0 else -n, ln * abs(d)))
+            return _quotient(n if d > 0 else -n, ln * abs(d)), False
 
         return even_point
 
-    def transfer_point(w: float) -> SamplePoint:
+    def transfer_point(w: float) -> _Pair:
         p, q = w.as_integer_ratio()
         dr, di = _horner(den, 0, p, q)
         sr, si = _horner(slope, 0, p, q)
         norm = dr * dr + di * di
         if norm << 100 <= p * p * (sr * sr + si * si):
-            return SamplePoint(w, math.inf, True)
+            return math.inf, True
         nr, ni = _horner(num, 0, p, q)
         re = _quotient(ld * (nr * dr + ni * di), ln * norm)
         im = _quotient(ld * (ni * dr - nr * di), ln * norm)
-        return SamplePoint(w, complex(re, im))
+        return complex(re, im), False
 
     return transfer_point
 

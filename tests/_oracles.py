@@ -36,12 +36,18 @@ magnitude as sums of `Polynomial`s, where the library splits L*P over
 the integers and works on integer lists. The exact sample point oracle
 evaluates those splits at Fraction(omega) and rounds each Fraction once,
 where the library runs one homogeneous Horner sum over the integers at
-omega = p/q and divides two integers. The source oracles build the
+omega = p/q and divides two integers. The four-call sample oracle
+evaluates N, D and their two Horner error gates as four `Polynomial`
+calls a point and builds a `SamplePoint` for each, where the library
+runs both gates in one fused loop and hands `sweep` bare pairs; the
+sweep-row oracle builds the CSV rows from public `sample`. The source
+oracles build the
 generalized Bessel polynomial from one backward factorial per term and
 the Pade denominator from the factorial sum with its Fraction
 prefactors, where the library steps the term ratio and clears (n+m)!.
 """
 
+import cmath
 import math
 import sys
 from fractions import Fraction
@@ -63,8 +69,10 @@ from besselpade import (
     gamma_candidates,
     group_delay,
     interpolate,
+    sample,
 )
 from besselpade.gbp import backward_factorial
+from besselpade.response import SamplePoint
 
 
 def _polyval(poly, x):
@@ -655,6 +663,54 @@ def fraction_sample_point(f, omega):
         return math.inf, True
     re, im = (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
     return complex(_nearest_float(re), _nearest_float(im)), False
+
+
+def four_call_sample(f, omegas):
+    """`sample` with four `Polynomial` calls a point: N(x), D(x) and their
+    Horner error gates 2^27 (deg P + 1) eps sum |p_k| t^k, polynomials in
+    t = |x|. A point whose N and D are finite and exceed their gates is the
+    double quotient; every other point, and every point of a function
+    with a coefficient beyond the double range, is `fraction_sample_point`."""
+    transfer = isinstance(f, TransferFunction)
+    num, den = f.numerator, f.denominator
+    ws = [float(w) for w in omegas]
+
+    def exact(w):
+        return SamplePoint(w, *fraction_sample_point(f, w))
+
+    try:
+        float(max(abs(c) for p in (num, den) for c in p.coefficients))
+    except OverflowError:
+        return [exact(w) for w in ws]
+
+    def gate(p):
+        factor = 2**27 * (p.degree + 1) * Fraction(sys.float_info.epsilon)
+        return Polynomial([factor * abs(c) for c in p.coefficients])
+
+    num_gate, den_gate = gate(num), gate(den)
+    out = []
+    for w in ws:
+        x = 1j * w if transfer else w * w
+        n, d = num(x), den(x)
+        t = abs(x)
+        if den_gate(t) < abs(d) < math.inf and num_gate(t) < abs(n) < math.inf:
+            out.append(SamplePoint(w, n / d))
+        else:
+            out.append(exact(w))
+    return out
+
+
+def sample_sweep_rows(tf, omega_max, points):
+    """(omega, magnitude, phase, delay, pole_adjacent) rows of `sweep` from
+    the `SamplePoint`s of public `sample`."""
+    omegas = [omega_max * i / (points - 1) for i in range(points)]
+    rows = []
+    for h, delay in zip(sample(tf, omegas), sample(group_delay(tf), omegas)):
+        if h.pole_adjacent:
+            rows.append((h.omega, math.inf, math.inf, math.inf, True))
+        else:
+            rows.append((h.omega, abs(h.value), cmath.phase(h.value), delay.value, False))
+    return rows
 
 
 def fraction_magnitude_squared(tf):

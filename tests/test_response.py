@@ -9,6 +9,7 @@ import pytest
 
 import _oracles
 from besselpade.budak import BudakParams, budak_tf
+from besselpade.cli import sweep_rows
 from besselpade.core import EvenRationalFunction, Polynomial, TransferFunction
 from besselpade.gbp import gbp_of
 from besselpade.pade import PadeIndex, pade_exp
@@ -273,6 +274,60 @@ def test_sample_beyond_the_float_range_is_exact():
         r = F(p.omega)
         norm = c * c + r * r
         assert p.value == complex(float(k * c / norm), float(-k * r / norm))
+
+
+def test_sample_keeps_overflowed_horner_values_off_the_fast_path():
+    # D(x) overflows to inf or nan while its error gate stays finite: the
+    # fast quotient was 0j for bessel:8, nan for the all-pass pade:10,10
+    cases = [(allpole(8), [5e38]), (pe(10, 10), [3e31 * i / 30 for i in range(7, 31)])]
+    for tf, omegas in cases:
+        for p in sample(tf, omegas):
+            want = _oracles.fraction_sample_point(tf, p.omega)
+            assert repr((p.value, p.pole_adjacent)) == repr(want), (tf, p.omega)
+    (p,) = sample(allpole(8), [5e38])
+    assert abs(p.value) == pytest.approx(5.19e-304, rel=1e-3)
+
+
+# the G_VALUES the benchmark draws Budak shape parameters from
+BENCH_GAMMAS = sorted(
+    {F(a, q) for q in (2, 3, 5) for a in range(1, 3 * q) if F(1, 2) < F(a, q) < 3 and a != q}
+)
+
+
+def random_tf(local):
+    def poly(degree):
+        # a nonzero constant term, so that the group delay is defined
+        c0 = F(local.choice((-1, 1)) * local.randint(1, 9), local.randint(1, 6))
+        return Polynomial([c0] + [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(degree)])
+
+    return TransferFunction(poly(local.randint(0, 5)), poly(local.randint(0, 7)))
+
+
+def kernel_sources():
+    local = random.Random(51103)
+    tfs = [pe(n, m) for n in range(13) for m in range(13)]
+    tfs += [allpole(n) for n in range(1, 31)]
+    pairs = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4))
+    tfs += [budak_tf(BudakParams(m, n, g)) for m, n in pairs for g in BENCH_GAMMAS]
+    tfs += [random_tf(local) for _ in range(100)]
+    tfs.append(TransferFunction(Polynomial([1]), Polynomial([F(1, 4), 0, 1])))  # pole at 0.5j
+    return tfs
+
+
+def test_sample_matches_the_four_call_loop():
+    omegas = [0.0, -0.0, -0.75, -3.0, 5e-324, 0.5, 2.5, 9.0]
+    omegas += [1e29, 1e31, -1e31, 1e34, 1e37, 1e39, 1e40, 1e300]
+    for tf in kernel_sources():
+        for f in (tf, group_delay(tf), magnitude_squared(tf)):
+            got = [repr(p) for p in sample(f, omegas)]
+            assert got == [repr(p) for p in _oracles.four_call_sample(f, omegas)], f
+
+
+def test_sweep_rows_match_rows_from_sample():
+    for tf in kernel_sources():
+        for omega_max, points in ((40.0, 9), (3e31, 4)):
+            got = sweep_rows(tf, omega_max, points)
+            assert repr(got) == repr(_oracles.sample_sweep_rows(tf, omega_max, points)), tf
 
 
 def test_group_delay_scaling_identity():

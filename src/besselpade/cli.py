@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -384,9 +385,17 @@ def sweep_rows(
     pairs directly. A row next to a pole of H is flagged and carries inf
     throughout; the delay alone is inf where the group delay's own
     denominator flags.
+
+    A pole of order k at s = 0 flags the omega = 0 row. For omega > 0 the
+    factor s^k of D adds only the constant phase -k*pi/2, so the delay is
+    that of N over D with its k lowest, zero, coefficients dropped.
     """
     omegas = [omega_max * i / (points - 1) for i in range(points)]
     h_pairs = _sample_pairs(tf, omegas)
+    den = tf.denominator
+    origin_poles = den.lowest_nonzero_power()
+    if origin_poles:
+        tf = TransferFunction(tf.numerator, Polynomial(den.coefficients[origin_poles:]))
     delay_pairs = _sample_pairs(group_delay(tf), omegas)
     rows = []
     for w, (h, flagged), (delay, _) in zip(omegas, h_pairs, delay_pairs):
@@ -571,9 +580,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call. Parsing leaves a
+    parser as it was, so one serves every command in a process; building
+    it takes about a millisecond, most of a small command's time. Nothing
+    builds it at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Exact values outgrow CPython's default int/str conversion limit of
     # 4300 digits (the Routh column of bessel:200 holds 6400-digit
     # entries), so it is lifted while a command runs, where the

@@ -124,25 +124,30 @@ def flatness(
 ) -> FlatnessReport:
     """Order and leading coefficient of the deviation from the origin value.
 
-    Works on the exact deviation polynomial num - f(0)*den: because the
-    denominator is nonzero at the origin, the ratio's Maclaurin series
-    first deviates at exactly the lowest nonzero power of that polynomial,
-    with coefficient (that entry)/den(0). The default horizon
+    Reads the exact deviation polynomial num - f(0)*den one coefficient at
+    a time, without forming it: because the denominator is nonzero at the
+    origin, the ratio's Maclaurin series first deviates at exactly the
+    lowest k with num_k != f(0)*den_k, with coefficient
+    (num_k - f(0)*den_k)/den(0). The default horizon
     2*(deg num + deg den) + 4 always suffices for a non-constant reduced
     function.
     """
+    num, den = f.numerator, f.denominator
     if max_terms is None:
-        max_terms = 2 * (max(f.numerator.degree, 0) + f.denominator.degree) + 4
+        max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
     value = f.at_origin()
-    deviation = f.numerator - value * f.denominator
-    if deviation.is_zero:
+    # the constant terms agree by the choice of value
+    for order in range(1, max(num.degree, den.degree) + 1):
+        scaled = value * den.coeff(order)
+        if num.coeff(order) != scaled:
+            break
+    else:
         raise FlatBeyondHorizon(
             f"no deviation within {max_terms} terms: function is constant"
         )
-    order = deviation.lowest_nonzero_power()
     if order >= max_terms:
         raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
-    leading = deviation.coeff(order) / f.denominator.coeff(0)
+    leading = (num.coeff(order) - scaled) / den.coeff(0)
     return FlatnessReport(value, order, leading, quantity)
 
 

@@ -44,7 +44,10 @@ sweep-row oracle builds the CSV rows from public `sample`. The source
 oracles build the
 generalized Bessel polynomial from one backward factorial per term and
 the Pade denominator from the factorial sum with its Fraction
-prefactors, where the library steps the term ratio and clears (n+m)!.
+prefactors, where the library steps the term ratio and clears (n+m)!. The flatness
+oracle forms the deviation polynomial num - f(0)*den and takes its
+lowest nonzero power, where the library scans the coefficient pairs
+without forming it.
 """
 
 import cmath
@@ -59,6 +62,8 @@ from besselpade import (
     BudakParams,
     DelayCoefficientPolys,
     EvenRationalFunction,
+    FlatBeyondHorizon,
+    FlatnessReport,
     Polynomial,
     QuadSurd,
     StabilityReport,
@@ -749,3 +754,22 @@ def factorial_sum_pade_exp(n, m):
     return TransferFunction(
         explicit_pade_numerator(n, m), factorial_sum_pade_denominator(n, m)
     )
+
+
+def deviation_polynomial_flatness(f, max_terms=None, quantity=None):
+    """`flatness` from the deviation polynomial num - f(0)*den: its lowest
+    nonzero power is the order, that coefficient over den(0) the leading
+    deviation."""
+    if max_terms is None:
+        max_terms = 2 * (max(f.numerator.degree, 0) + f.denominator.degree) + 4
+    value = f.at_origin()
+    deviation = f.numerator - value * f.denominator
+    if deviation.is_zero:
+        raise FlatBeyondHorizon(
+            f"no deviation within {max_terms} terms: function is constant"
+        )
+    order = deviation.lowest_nonzero_power()
+    if order >= max_terms:
+        raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
+    leading = deviation.coeff(order) / f.denominator.coeff(0)
+    return FlatnessReport(value, order, leading, quantity)

@@ -3,6 +3,9 @@
 import cmath
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -12,7 +15,9 @@ import pytest
 import _oracles
 from besselpade.cli import main, source_tf, tf_from_provenance
 from besselpade.core import Polynomial, TransferFunction
-from besselpade.response import group_delay, magnitude_squared
+from besselpade.response import group_delay, magnitude_squared, sample
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -460,6 +465,31 @@ def test_sweep_flags_pole_adjacent_rows(tmp_path, capsys):
     assert not rows[2].endswith(",pole-adjacent")
 
 
+@pytest.mark.parametrize("den", [[0, 1], [0, 0, 1, 1]])
+def test_sweep_of_a_pole_at_the_origin(tmp_path, capsys, den):
+    # 1/s and 1/(s^2 (s + 1)): s^k in D adds the constant phase -k*pi/2,
+    # so the delay off the origin is that of N over D without it
+    path = tmp_path / "origin_pole.json"
+    path.write_text(json.dumps({"num": [1], "den": den}))
+    code, out, err = run(
+        capsys,
+        ["sweep", "--source", f"file:{path}", "--omega-max", "3", "--points", "7"],
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0] == ["0.0", "inf", "inf", "inf", "pole-adjacent"]
+    tf, _ = source_tf(f"file:{path}")
+    k = den.count(0)
+    reduced = TransferFunction(tf.numerator, Polynomial(tf.denominator.coefficients[k:]))
+    omegas = [float(row[0]) for row in rows[1:]]
+    h = sample(tf, omegas)
+    delay = sample(group_delay(reduced), omegas)
+    for row, hp, dp in zip(rows[1:], h, delay):
+        assert len(row) == 4, row
+        assert not hp.pole_adjacent
+        assert row[1:] == [repr(abs(hp.value)), repr(cmath.phase(hp.value)), repr(dp.value)]
+
+
 @pytest.mark.parametrize("c, omega_max", [("1e-12", "2e-6"), ("1e16", "2e8")])
 def test_sweep_flags_frequency_scaled_poles(tmp_path, capsys, c, omega_max):
     path = tmp_path / "osc.json"
@@ -595,3 +625,51 @@ def test_precision_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("BESSELPADE_PRECISION", "0")
     code, _, _ = run(capsys, ["pade", "--n", "1", "--m", "0"])
     assert code == 2
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process: no command may leave state
+    # behind that changes the next one's exit code, stdout or stderr
+    origin_zero = tmp_path / "origin_zero.json"
+    origin_zero.write_text(json.dumps({"num": ["0", "1"], "den": ["1", "1"]}))
+    order2 = ["budak", "--m", "2", "--n", "3", "--order2-gamma"]
+    steps = [
+        (None, ["analyze", "--source", "pade:3,2", "--json"]),
+        (None, ["compare", "--n", "3", "--m", "2"]),
+        (None, ["compare", "--n", "3", "--m", "2", "--json"]),
+        (None, ["sweep", "--source", "pade:3,2", "--omega-max", "2", "--points", "5"]),
+        (None, ["gbp", "--n", "3", "--alpha", "2", "--beta", "1"]),
+        (None, ["pade", "--n", "3", "--m", "2", "--analyze"]),
+        ("12", order2),
+        (None, ["analyze"]),
+        (None, ["analyze", "--source", "nope"]),
+        (None, ["analyze", "--source", f"file:{origin_zero}"]),
+        ("5", order2),
+        (None, ["analyze", "--source", "pade:3,2", "--json"]),
+    ]
+    # usage lines wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    codes = []
+    for precision, argv in steps:
+        if precision is None:
+            monkeypatch.delenv("BESSELPADE_PRECISION", raising=False)
+            env.pop("BESSELPADE_PRECISION", None)
+        else:
+            monkeypatch.setenv("BESSELPADE_PRECISION", precision)
+            env["BESSELPADE_PRECISION"] = precision
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "besselpade.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0]

@@ -330,6 +330,74 @@ def test_sweep_rows_match_rows_from_sample():
             assert repr(got) == repr(_oracles.sample_sweep_rows(tf, omega_max, points)), tf
 
 
+def flatness_outcome(fn, f, **kwargs):
+    """The report of fn(f), or the message of the FlatBeyondHorizon it raises."""
+    try:
+        return fn(f, **kwargs)
+    except FlatBeyondHorizon as exc:
+        return f"raised: {exc}"
+
+
+def random_even_function(local):
+    """A reduced even function whose deviation starts at a random power:
+    num = value * den + u^k * tail, so low orders share their coefficients."""
+    # positive constant and leading terms keep den(0) > 0 once den is monic
+    den = [F(local.randint(1, 9), local.randint(1, 6))]
+    den += [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(local.randint(0, 7))]
+    den.append(F(local.randint(1, 9), local.randint(1, 6)))
+    value = F(local.randint(-9, 9), local.randint(1, 6))
+    k = local.randint(1, 12)
+    tail = [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(local.randint(0, 4))]
+    num = Polynomial([value * c for c in den]) + Polynomial([0] * k + tail)
+    return EvenRationalFunction(num, Polynomial(den))
+
+
+def test_flatness_matches_the_deviation_polynomial_oracle():
+    tfs = [pe(n, m) for n in range(17) for m in range(17)]
+    tfs += [allpole(n) for n in range(1, 42)]
+    tfs += [
+        budak_tf(BudakParams(m, n, g))
+        for n in range(1, 17)
+        for m in sorted({0, n // 2, n - 1, n})
+        for g in (F(2, 3), F(3, 2))
+    ]
+    functions = [f for tf in tfs for f in (group_delay(tf), magnitude_squared(tf))]
+    local = random.Random(70321)
+    functions += [random_even_function(local) for _ in range(300)]
+    raised = 0
+    for f in functions:
+        got = flatness_outcome(flatness, f, quantity=Quantity.DELAY)
+        assert got == flatness_outcome(
+            _oracles.deviation_polynomial_flatness, f, quantity=Quantity.DELAY
+        ), f
+        raised += isinstance(got, str)
+        if isinstance(got, str):
+            continue
+        # every horizon from just below the order up to just past it
+        for max_terms in (got.order - 1, got.order, got.order + 1):
+            assert flatness_outcome(flatness, f, max_terms=max_terms) == flatness_outcome(
+                _oracles.deviation_polynomial_flatness, f, max_terms=max_terms
+            ), (f, max_terms)
+    # the all-pass magnitudes and the delay of pade:0,0 are constant
+    assert raised >= 17
+
+
+def test_flatness_constant_and_beyond_horizon_match_the_oracle():
+    constant = EvenRationalFunction(Polynomial([F(3, 2), 3]), Polynomial([1, 2]))
+    late = EvenRationalFunction(Polynomial([1, 0, 0, 0, 0, 0, 5]), Polynomial([1]))
+    cases = ((constant, {}), (late, {"max_terms": 6}), (late, {"max_terms": 2}))
+    for f, kwargs in cases:
+        got = flatness_outcome(flatness, f, **kwargs)
+        assert got.startswith("raised: "), (f, kwargs)
+        assert got == flatness_outcome(_oracles.deviation_polynomial_flatness, f, **kwargs)
+    assert flatness_outcome(flatness, constant) == (
+        "raised: no deviation within 4 terms: function is constant"
+    )
+    assert flatness_outcome(flatness, late, max_terms=6) == (
+        "raised: first deviation at u^6 exceeds the horizon"
+    )
+
+
 def test_group_delay_scaling_identity():
     # P(sigma*s) has phase slope sigma*N(sigma^2 u)/D(sigma^2 u), N/D that of P
     one = Polynomial([1])

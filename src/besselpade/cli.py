@@ -16,11 +16,12 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .budak import BudakParams, budak_tf, gamma_order2, order2_certificate
 from .core import EvenRationalFunction, Polynomial, TransferFunction, surd_to_float
@@ -531,66 +532,89 @@ def _precision_from_env() -> int:
     return value
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first
+    parses. A command line selects one subcommand, so a parse never pays
+    for the arguments of the other five."""
+
+    def __init__(self, *args, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line. `main` builds one per call, so
+    building stays cheap: the terminal width is read once here, not by
+    each help formatter argparse makes, and each subcommand adds its
+    arguments only when a command line selects it (`_Subcommand`)."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="besselpade",
         description="Exact delay-approximation toolbox: polynomials, approximants, stability and flatness reports.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    p = sub.add_parser("gbp", help="construct a generalized Bessel polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, required=True)
-    p.add_argument("--beta", type=Fraction, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gbp)
+    def gbp_arguments(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--alpha", type=Fraction, required=True)
+        p.add_argument("--beta", type=Fraction, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_gbp)
 
-    p = sub.add_parser("pade", help="(n,m) delay approximant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--analyze", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pade)
+    def pade_arguments(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--analyze", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_pade)
 
-    p = sub.add_parser("budak", help="two-sided scaled-Bessel approximant")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=Fraction)
-    p.add_argument("--order2-gamma", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_budak)
+    def budak_arguments(p):
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--gamma", type=Fraction)
+        p.add_argument("--order2-gamma", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_budak)
 
-    p = sub.add_parser("analyze", help="full report for a transfer function source")
-    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
+    def analyze_arguments(p):
+        p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("sweep", help="CSV frequency sweep")
-    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
-    p.add_argument("--omega-max", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--output", help="target CSV path (omit or '-' for stdout)")
-    p.set_defaults(func=_cmd_sweep)
+    def sweep_arguments(p):
+        p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+        p.add_argument("--omega-max", type=float, required=True)
+        p.add_argument("--points", type=int, required=True)
+        p.add_argument("--output", help="target CSV path (omit or '-' for stdout)")
+        p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("compare", help="side-by-side approximant table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compare)
+    def compare_arguments(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_compare)
+
+    for name, summary, add_arguments in [
+        ("gbp", "construct a generalized Bessel polynomial", gbp_arguments),
+        ("pade", "(n,m) delay approximant", pade_arguments),
+        ("budak", "two-sided scaled-Bessel approximant", budak_arguments),
+        ("analyze", "full report for a transfer function source", analyze_arguments),
+        ("sweep", "CSV frequency sweep", sweep_arguments),
+        ("compare", "side-by-side approximant table", compare_arguments),
+    ]:
+        sub.add_parser(name, help=summary, formatter_class=formatter, add_arguments=add_arguments)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on its first call. Parsing leaves a
-    parser as it was, so one serves every command in a process; building
-    it takes about a millisecond, most of a small command's time. Nothing
-    builds it at import."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Exact values outgrow CPython's default int/str conversion limit of
     # 4300 digits (the Routh column of bessel:200 holds 6400-digit
     # entries), so it is lifted while a command runs, where the

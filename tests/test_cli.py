@@ -3,9 +3,6 @@
 import cmath
 import json
 import math
-import os
-import pathlib
-import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -13,11 +10,9 @@ import mpmath as mp
 import pytest
 
 import _oracles
-from besselpade.cli import main, source_tf, tf_from_provenance
+from besselpade.cli import build_parser, main, source_tf, tf_from_provenance
 from besselpade.core import Polynomial, TransferFunction
 from besselpade.response import group_delay, magnitude_squared, sample
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv):
@@ -627,49 +622,33 @@ def test_precision_env_validation(capsys, monkeypatch):
     assert code == 2
 
 
-def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
-    # main parses with one parser per process: no command may leave state
-    # behind that changes the next one's exit code, stdout or stderr
-    origin_zero = tmp_path / "origin_zero.json"
-    origin_zero.write_text(json.dumps({"num": ["0", "1"], "den": ["1", "1"]}))
-    order2 = ["budak", "--m", "2", "--n", "3", "--order2-gamma"]
-    steps = [
-        (None, ["analyze", "--source", "pade:3,2", "--json"]),
-        (None, ["compare", "--n", "3", "--m", "2"]),
-        (None, ["compare", "--n", "3", "--m", "2", "--json"]),
-        (None, ["sweep", "--source", "pade:3,2", "--omega-max", "2", "--points", "5"]),
-        (None, ["gbp", "--n", "3", "--alpha", "2", "--beta", "1"]),
-        (None, ["pade", "--n", "3", "--m", "2", "--analyze"]),
-        ("12", order2),
-        (None, ["analyze"]),
-        (None, ["analyze", "--source", "nope"]),
-        (None, ["analyze", "--source", f"file:{origin_zero}"]),
-        ("5", order2),
-        (None, ["analyze", "--source", "pade:3,2", "--json"]),
+def test_one_parser_parses_every_subcommand_twice():
+    # a subcommand adds its arguments when it first parses, and only then
+    parser = build_parser()
+    lines = [
+        (["gbp", "--n", "3", "--alpha", "2", "--beta", "1/2"], {"n": 3, "alpha": F(2), "beta": F(1, 2)}),
+        (["pade", "--n", "3", "--m", "2", "--analyze"], {"n": 3, "m": 2, "analyze": True, "json": False}),
+        (["budak", "--m", "2", "--n", "3", "--gamma", "7/3"], {"gamma": F(7, 3), "order2_gamma": False}),
+        (["analyze", "--source", "pade:3,2", "--json"], {"source": "pade:3,2", "json": True}),
+        (["sweep", "--source", "bessel:3", "--omega-max", "2", "--points", "5"], {"omega_max": 2.0, "output": None}),
+        (["compare", "--n", "3", "--m", "2"], {"n": 3, "m": 2, "json": False}),
     ]
-    # usage lines wrap at the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    codes = []
-    for precision, argv in steps:
-        if precision is None:
-            monkeypatch.delenv("BESSELPADE_PRECISION", raising=False)
-            env.pop("BESSELPADE_PRECISION", None)
-        else:
-            monkeypatch.setenv("BESSELPADE_PRECISION", precision)
-            env["BESSELPADE_PRECISION"] = precision
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "besselpade.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-        )
-        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-        codes.append(code)
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0]
+    for _ in range(2):
+        for argv, expected in lines:
+            args = vars(parser.parse_args(argv))
+            assert args["command"] == argv[0]
+            assert {key: args[key] for key in expected} == expected, argv
+
+
+@pytest.mark.parametrize("columns", ["70", "71"])
+def test_subcommand_help_lists_its_options_at_the_terminal_width(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for option in ["--source SOURCE", "--omega-max OMEGA_MAX", "--points POINTS", "--output OUTPUT"]:
+        assert option in out
+    # help text starts at column 24 and wraps at the terminal width less
+    # two, so the 45-character source help fits on one line from 71 on
+    assert ("pade:N,M | budak:M,N,G | bessel:N | file:PATH" in out) == (columns == "71")

@@ -552,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     """A new parser for the command line. `main` builds one per call, so
     building stays cheap: the terminal width is read once here, not by
     each help formatter argparse makes, and each subcommand adds its
-    arguments only when a command line selects it (`_Subcommand`)."""
+    arguments only when a command line selects it (`_Subcommand`). Help
+    wraps at the width argparse itself would use, as read at build time."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="besselpade",

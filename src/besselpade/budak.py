@@ -281,8 +281,8 @@ def mutual_exclusion(n: int, m: int, precision: int = 9) -> MutualExclusionRepor
     """
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    cands = tuple(gamma_candidates(n, m, j, precision) for j in range(1, m + 1))
-    pairs = tuple((c.j, d.j) for c, d in combinations(cands, 2))
+    cands = tuple([gamma_candidates(n, m, j, precision) for j in range(1, m + 1)])
+    pairs = tuple([(c.j, d.j) for c, d in combinations(cands, 2)])
     disjoint = all(c.a_j**d.j != d.a_j**c.j for c, d in combinations(cands, 2))
     above = all(c.a_j > 1 for c in cands)
     return MutualExclusionReport(n, m, precision, cands, pairs, disjoint, above)
@@ -400,17 +400,17 @@ def delay_gamma_polynomials(
         scaled = [p**k * q ** (bound - k) for k in range(bound + 1)]
         for got, rows in ((delay.numerator, num), (delay.denominator, den)):
             want = [sum(c * x for c, x in zip(row, scaled)) for row in rows]
-            _, have = got._cleared()
+            have = got._nums
             if any(h * want[0] != w * have[0] for h, w in zip_longest(have, want, fillvalue=0)):
                 raise ArithmeticError(f"delay block disagrees with the group delay at gamma = {g}")
 
     const = den[0][0]  # positive, so the gcd keeps every sign
-    divisor = math.gcd(const, *(c for row in (*num[1:], *den[1:]) for c in row))
+    divisor = math.gcd(const, *[c for row in (*num[1:], *den[1:]) for c in row])
     return DelayCoefficientPolys(
         m,
         n,
-        tuple(Polynomial([c // divisor for c in row]) for row in num[1:]),
-        tuple(Polynomial([c // divisor for c in row]) for row in den[1:]),
+        tuple([Polynomial([c // divisor for c in row]) for row in num[1:]]),
+        tuple([Polynomial([c // divisor for c in row]) for row in den[1:]]),
         Fraction(const // divisor),
     )
 

@@ -242,7 +242,7 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
         else:
             raise UsageError(f"unknown source kind {kind!r}")
         return tf_from_provenance(provenance), provenance
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad source spec {spec!r}: {exc}") from exc
 
 
@@ -259,10 +259,7 @@ def tf_from_provenance(provenance: dict) -> TransferFunction:
         den = classical_bessel(provenance["n"])
         return TransferFunction(Polynomial([den.coeff(0)]), den)
     if family == "file":
-        return TransferFunction(
-            Polynomial([Fraction(c) for c in provenance["num"]]),
-            Polynomial([Fraction(c) for c in provenance["den"]]),
-        )
+        return TransferFunction(Polynomial(provenance["num"]), Polynomial(provenance["den"]))
     raise ValueError(f"unknown provenance family {family!r}")
 
 
@@ -548,6 +545,14 @@ class _Subcommand(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational: "1/0" is a usage error, as "abc" is."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the command line. `main` builds one per call, so
     building stays cheap: the terminal width is read once here, not by
@@ -564,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def gbp_arguments(p):
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=Fraction, required=True)
-        p.add_argument("--beta", type=Fraction, required=True)
+        p.add_argument("--alpha", type=_rational, required=True)
+        p.add_argument("--beta", type=_rational, required=True)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_gbp)
 
@@ -579,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     def budak_arguments(p):
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--gamma", type=Fraction)
+        p.add_argument("--gamma", type=_rational)
         p.add_argument("--order2-gamma", action="store_true")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_budak)

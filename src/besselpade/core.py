@@ -6,19 +6,18 @@ surds a + b*sqrt(d), exact Lagrange/Newton interpolation, and correctly
 rounded decimal rendering of surds in one step, from exact comparisons
 and one integer square root.
 
-Every coefficient is a `fractions.Fraction`, so all operations here are
-exact. A product of polynomials runs on plain ints: each factor is
-written as an integer polynomial over the lcm of its denominators, the
-integer lists are convolved, and every coefficient is divided once by
-the product of the two lcms. So a product pays one gcd per result
-coefficient instead of one per pair of coefficients. Canonical forms
-first try to prove numerator and denominator coprime modulo the prime
-2^30 - 35, whose residues are one CPython digit each, and run Euclid
-over Q only when that proof fails. All values are
-immutable after construction and every operation is a pure function;
-instances may be freely shared across threads. (A
-`Polynomial` fills one cache slot, its float coefficients, on its first
-float evaluation; two threads racing to fill it store equal values.)
+Every coefficient is rational, so all operations here are exact. A
+`Polynomial` is held as integer numerators over one positive
+denominator, the lcm of its coefficients' denominators, so sums,
+products, scalar products and `monic` run on plain ints and pay one gcd
+per result. Canonical forms first try to prove numerator and
+denominator coprime modulo the prime 2^30 - 35, whose residues are one
+CPython digit each, and run Euclid over Q only when that proof fails.
+All values are immutable after construction and every operation is a
+pure function; instances may be freely shared across threads. (A
+`Polynomial` fills two cache slots on first use: its `coefficients` as
+Fractions, and its float and complex lowering; two threads racing to
+fill one store equal values.)
 
 Rationals serialize as "p/q" strings (the "/q" omitted when q = 1), which is
 exactly what `str(Fraction)` produces and `Fraction(str)` parses back.
@@ -35,7 +34,6 @@ from typing import Iterable, Sequence, Union
 Coefficient = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x: Coefficient) -> Fraction:
@@ -64,25 +62,38 @@ def _int_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored in ascending degree order with no trailing
-    zeros; the zero polynomial stores an empty tuple and reports degree -1.
+    The coefficient of x**k is _nums[k] / _den, over the lcm _den > 0 of
+    the coefficients' denominators, so the pair is unique. The numerators
+    ascend in degree with no trailing zeros; the zero polynomial holds an
+    empty tuple over 1 and reports degree -1. Two cache slots are filled
+    on first use: `coefficients`, and the float lowering.
     """
 
-    __slots__ = ("_coeffs", "_lowered")
+    __slots__ = ("_nums", "_den", "_fractions", "_lowered")
 
     def __init__(self, coefficients: Iterable[Coefficient] = ()):
-        coeffs = [_frac(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
-        self._lowered = None
+        coeffs = [c if isinstance(c, int) else _frac(c) for c in coefficients]
+        den = math.lcm(*[c.denominator for c in coeffs])
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int) -> "Polynomial":
+        """The polynomial nums / den, den nonzero; takes nums over."""
+        return cls.__new__(cls)._set(nums, den)
+
+    def _set(self, nums: list[int], den: int) -> "Polynomial":
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+        while nums and not nums[-1]:
+            nums.pop()
+        self._nums, self._den = tuple(nums), den // g
+        self._fractions = self._lowered = None
+        return self
 
     @classmethod
     def monomial(cls, power: int, coefficient: Coefficient = 1) -> "Polynomial":
-        c = _frac(coefficient)
-        if c == 0:
-            return cls()
-        return cls([0] * power + [c])
+        return cls([0] * power + [coefficient])
 
     @classmethod
     def constant(cls, value: Coefficient) -> "Polynomial":
@@ -92,32 +103,34 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        if self._fractions is None:
+            self._fractions = tuple([Fraction(c, self._den) for c in self._nums])
+        return self._fractions
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def coeff(self, power: int) -> Fraction:
         """Coefficient of x**power (zero beyond the stored degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._nums):
+            return self.coefficients[power]
         return _ZERO
 
     def lowest_nonzero_power(self) -> int:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("zero polynomial")
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self._nums):
             if c != 0:
                 return k
         raise AssertionError("unreachable: trailing zeros are stripped")
@@ -129,18 +142,15 @@ class Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Polynomial([other])
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = _int_add([a * c for c in self._nums], [b * c for c in other._nums])
+        return Polynomial._from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
+        return Polynomial._from_ints([-c for c in self._nums], self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -156,14 +166,11 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
                 return Polynomial()
-            # (A / La) * (B / Lb) = (A * B) / (La * Lb), A and B over Z
-            la, a = self._cleared()
-            lb, b = other._cleared()
-            den = la * lb
-            out = _convolve(a, b)
-            return Polynomial(out if den == 1 else [Fraction(c, den) for c in out])
+            # (A / da) * (B / db) = (A * B) / (da * db), A and B over Z
+            return Polynomial._from_ints(_convolve(self._nums, other._nums), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self._coeffs])
+            out = [c * other.numerator for c in self._nums]
+            return Polynomial._from_ints(out, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,10 +189,12 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._coeffs == other._coeffs
+        if not isinstance(other, Polynomial):
+            return False
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     # -- evaluation and calculus ------------------------------------------
 
@@ -193,18 +202,19 @@ class Polynomial:
         """Horner evaluation; x may be Fraction, int, float or complex.
 
         A Fraction or int x is evaluated exactly. A float or complex x runs
-        over the coefficients converted to float once per polynomial (to
-        complex for a complex x). Each step is then the operation that
-        mixing a Fraction with x performs, since float(c) is the correctly
-        rounded value either way, so the result is the same to the bit.
-        A coefficient beyond the float range raises OverflowError.
+        over the coefficients converted to float once per polynomial, each
+        by one int / int true division (to complex for a complex x). Each
+        step is then the operation that mixing a Fraction with x performs,
+        since that division and float(c) both round c once, so the result
+        is the same to the bit. A coefficient beyond the float range raises
+        OverflowError.
         """
         if isinstance(x, complex):
             result, coeffs = 0j, self._float_coefficients()[1]
         elif isinstance(x, float):
             result, coeffs = 0.0, self._float_coefficients()[0]
         else:
-            result, coeffs = _ZERO, self._coeffs
+            result, coeffs = _ZERO, self.coefficients
         for c in reversed(coeffs):
             result = result * x + c
         return result
@@ -212,30 +222,28 @@ class Polynomial:
     def _float_coefficients(self) -> tuple[tuple[float, ...], tuple[complex, ...]]:
         """The coefficients as floats and as complex numbers, made once."""
         if self._lowered is None:
-            floats = tuple(float(c) for c in self._coeffs)
-            self._lowered = (floats, tuple(complex(c) for c in floats))
+            floats = tuple([c / self._den for c in self._nums])
+            self._lowered = (floats, tuple([complex(c) for c in floats]))
         return self._lowered
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self._coeffs)][1:])
+        return Polynomial._from_ints([k * c for k, c in enumerate(self._nums)][1:], self._den)
 
     def scale_substitute(self, c: Coefficient) -> "Polynomial":
         """Return p(c*x): the x**k coefficient is multiplied by c**k."""
         c = _frac(c)
-        out = []
-        power = _ONE
-        for coeff in self._coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Polynomial(out)
+        p, q, top = c.numerator, c.denominator, max(self.degree, 0)
+        # c**k = p**k q**(top-k) / q**top
+        nums = [n * p**k * q ** (top - k) for k, n in enumerate(self._nums)]
+        return Polynomial._from_ints(nums, self._den * q**top)
 
     def even_part(self) -> "Polynomial":
         """E with p(x) = E(x^2) + x*O(x^2)."""
-        return Polynomial(self._coeffs[0::2])
+        return Polynomial._from_ints(list(self._nums[0::2]), self._den)
 
     def odd_part(self) -> "Polynomial":
         """O with p(x) = E(x^2) + x*O(x^2)."""
-        return Polynomial(self._coeffs[1::2])
+        return Polynomial._from_ints(list(self._nums[1::2]), self._den)
 
     # -- division ----------------------------------------------------------
 
@@ -244,7 +252,7 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
+        rem = list(self.coefficients)
         dq = other.degree
         lead = other.leading
         if self.degree < dq:
@@ -254,7 +262,7 @@ class Polynomial:
             factor = rem[k + dq] / lead
             quot[k] = factor
             if factor != 0:
-                for i, c in enumerate(other._coeffs):
+                for i, c in enumerate(other.coefficients):
                     rem[k + i] -= factor * c
         return Polynomial(quot), Polynomial(rem)
 
@@ -273,27 +281,17 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.leading
-        if lead == 1:
+        lead = self._nums[-1]
+        if lead == self._den:
             return self
-        return Polynomial([c / lead for c in self._coeffs])
+        # (n_k / den) / (lead / den) = n_k / lead
+        return Polynomial._from_ints(list(self._nums), lead)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c primitive (integer coefficients, gcd 1)."""
         if self.is_zero:
             raise ValueError("zero polynomial has no content")
-        den_lcm, ints = self._cleared()
-        num_gcd = 0
-        for c in ints:
-            num_gcd = math.gcd(num_gcd, c)
-        return Fraction(num_gcd, den_lcm)
-
-    def _cleared(self) -> tuple[int, list[int]]:
-        """(L, integer coefficients of L*self), L the lcm of the denominators."""
-        den_lcm = 1
-        for c in self._coeffs:
-            den_lcm = math.lcm(den_lcm, c.denominator)
-        return den_lcm, [c.numerator * (den_lcm // c.denominator) for c in self._coeffs]
+        return Fraction(math.gcd(*self._nums), self._den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -303,7 +301,7 @@ class Polynomial:
             return "0"
         parts: list[str] = []
         for power in range(self.degree, -1, -1):
-            c = self._coeffs[power]
+            c = self.coefficients[power]
             if c == 0:
                 continue
             mag = abs(c)
@@ -322,7 +320,7 @@ class Polynomial:
         return self.to_str()
 
     def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(str(c) for c in self._coeffs)}])"
+        return f"Polynomial([{', '.join(str(c) for c in self.coefficients)}])"
 
 
 def poly_scale_substitute(p: Polynomial, c: Coefficient) -> Polynomial:
@@ -335,7 +333,7 @@ def poly_scale_substitute(p: Polynomial, c: Coefficient) -> Polynomial:
 _GCD_PRIME = 1073741789
 
 
-def _coprime_mod_prime(a: list[int], b: list[int]) -> bool:
+def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when the images of a and b in GF(P)[x] have a constant gcd.
 
     a and b are ascending integer coefficient lists whose leading
@@ -382,15 +380,12 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if not (p.is_zero or q.is_zero):
-        a_int = p._cleared()[1]
-        b_int = q._cleared()[1]
-        if (
-            a_int[-1] % _GCD_PRIME
-            and b_int[-1] % _GCD_PRIME
-            and _coprime_mod_prime(a_int, b_int)
-        ):
-            return Polynomial([1])
+    if not (p.is_zero or q.is_zero) and (
+        p._nums[-1] % _GCD_PRIME
+        and q._nums[-1] % _GCD_PRIME
+        and _coprime_mod_prime(p._nums, q._nums)
+    ):
+        return Polynomial([1])
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
@@ -509,7 +504,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Coefficient]):
-        self._coeffs = tuple(_frac(c) for c in coefficients)
+        self._coeffs = tuple([_frac(c) for c in coefficients])
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, order: int) -> "TruncatedSeries":
@@ -589,7 +584,7 @@ def exp_series(sign: int, terms: int) -> TruncatedSeries:
     if terms < 1:
         raise ValueError("terms must be at least 1")
     out = []
-    c = _ONE
+    c = Fraction(1)
     for k in range(terms):
         if k:
             c = c * sign / k

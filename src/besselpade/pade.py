@@ -64,14 +64,12 @@ def _scaled_factor(n: int, m: int, sign: int) -> list[int]:
 
 def pade_numerator(idx: PadeIndex) -> Polynomial:
     """Q_nm before canonical reduction: Q_nm(s) = P_mn(-s)."""
-    scale = math.factorial(idx.n + idx.m)
-    return Polynomial([Fraction(c, scale) for c in _scaled_factor(idx.m, idx.n, -1)])
+    return Polynomial._from_ints(_scaled_factor(idx.m, idx.n, -1), math.factorial(idx.n + idx.m))
 
 
 def pade_denominator(idx: PadeIndex) -> Polynomial:
     """P_nm before canonical reduction."""
-    scale = math.factorial(idx.n + idx.m)
-    return Polynomial([Fraction(c, scale) for c in _scaled_factor(idx.n, idx.m, 1)])
+    return Polynomial._from_ints(_scaled_factor(idx.n, idx.m, 1), math.factorial(idx.n + idx.m))
 
 
 def pade_exp(idx: PadeIndex) -> TransferFunction:

@@ -67,11 +67,10 @@ class FlatnessReport:
 def _jw_split(p: Polynomial) -> tuple[int, list[int], list[int]]:
     """(L, e, o) with L*P(j*omega) = e(u) + j*omega*o(u), u = omega^2: L > 0
     the lcm of P's denominators, e and o ascending integer lists."""
-    lcm, c = p._cleared()
-    e, o = c[0::2], c[1::2]
+    e, o = list(p._nums[0::2]), list(p._nums[1::2])
     e[1::2] = [-x for x in e[1::2]]
     o[1::2] = [-x for x in o[1::2]]
-    return lcm, e, o
+    return p._den, e, o
 
 
 def _derivative(c: list[int]) -> list[int]:
@@ -252,8 +251,8 @@ def _exact_sampler(
     test then loses the powers of q, and the value L_D N / (L_N D) is one
     int / int true division with a positive divisor, so a zero is 0.0.
     """
-    ln, num = f.numerator._cleared()
-    ld, den = f.denominator._cleared()
+    ln, num = f.numerator._den, list(f.numerator._nums)
+    ld, den = f.denominator._den, list(f.denominator._nums)
     pad = len(den) - len(num)  # [0] * k is empty for k <= 0
     num, den = num + [0] * pad, den + [0] * -pad
     slope = _derivative(den)

@@ -91,14 +91,13 @@ def _routh_leading(p: Polynomial) -> tuple[list[tuple[int, int]], list[int], int
     degenerate: list[int] = []
     first_pivot = None
 
-    den, ints = p._cleared()
-    # entry j of the first two rows is the coefficient of s^(top - 2j),
-    # zero at negative powers
+    # entry j of the first two rows is the numerator of the coefficient
+    # of s^(top - 2j), zero at negative powers, over p's denominator
     above, row = (
-        [ints[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
+        [p._nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
     )
-    d_above = d_row = den
-    leading = [(above[0], den)]
+    d_above = d_row = p._den
+    leading = [(above[0], p._den)]
     for i in range(1, n + 1):
         if not any(row):
             degenerate.append(i)
@@ -147,7 +146,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     leading, degenerate, first_pivot = _routh_leading(p)
     # d_i > 0, so T_i[0] has the sign of the column entry T_i[0] / d_i
     changes = _sign_changes([t for t, _ in leading])
-    column = tuple(Fraction(t, d) for t, d in leading)
+    column = tuple([Fraction(t, d) for t, d in leading])
     if first_pivot is not None:
         column = column[:first_pivot] + (Fraction(0),)
         degenerate = [first_pivot]

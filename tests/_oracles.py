@@ -28,7 +28,9 @@ double sum for |G(j*omega)|^2, the explicit factorial ratio for A_j and
 the rationalized pair (A -+ sqrt(A))/(A - 1) for j = 1, where the library
 reads all three from one table of normalized weights and from q(gamma).
 The product oracle is the schoolbook convolution over Fraction
-coefficients, and the rational Routh oracle runs the one-pass array with
+coefficients, the list-arithmetic oracles add, scale, normalize,
+differentiate and substitute into the Fraction coefficient lists, where
+the library holds integer numerators over one denominator, and the rational Routh oracle runs the one-pass array with
 every row over Q, where the library clears denominators and runs both
 over the integers. The Fraction analysis oracles split P(j*omega) into
 `Polynomial`s over Q and form the phase slope, group delay and squared
@@ -544,6 +546,61 @@ def fraction_product(p, q):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return Polynomial(out)
+
+
+def _stripped(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def fraction_sum(p, q):
+    """The Fraction coefficients of p + q, added list to list."""
+    a, b = p.coefficients, q.coefficients
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _stripped(out)
+
+
+def fraction_scalar_product(p, c):
+    """The Fraction coefficients of c * p."""
+    return _stripped([x * c for x in p.coefficients])
+
+
+def fraction_monic(p):
+    """The Fraction coefficients of p over its leading coefficient."""
+    lead = p.leading
+    return [c / lead for c in p.coefficients]
+
+
+def fraction_content(p):
+    """gcd of the numerators of L * p over L, L the lcm of the denominators."""
+    den_lcm = 1
+    for c in p.coefficients:
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    num_gcd = 0
+    for c in p.coefficients:
+        num_gcd = math.gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
+    return Fraction(num_gcd, den_lcm)
+
+
+def fraction_derivative(p):
+    """The Fraction coefficients of p'."""
+    return [k * c for k, c in enumerate(p.coefficients)][1:]
+
+
+def fraction_scale_substitute(p, c):
+    """The Fraction coefficients of p(c*x), one running power of c."""
+    c = Fraction(c)
+    out = []
+    power = Fraction(1)
+    for coeff in p.coefficients:
+        out.append(coeff * power)
+        power *= c
+    return _stripped(out)
 
 
 def _rational_routh_rows(p):

@@ -229,6 +229,18 @@ def test_budak_bad_gamma(capsys):
     assert code == 2
 
 
+def test_zero_denominator_arguments_are_usage_errors(capsys):
+    for argv, name in (
+        (["gbp", "--n", "3", "--alpha", "1/0", "--beta", "1"], "--alpha"),
+        (["gbp", "--n", "3", "--alpha", "1", "--beta", "2/0"], "--beta"),
+        (["budak", "--m", "1", "--n", "3", "--gamma", "1/0"], "--gamma"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"argument {name}: invalid Fraction value" in capsys.readouterr().err
+
+
 def test_budak_order2_plain(capsys, monkeypatch):
     monkeypatch.setenv("BESSELPADE_PRECISION", "4")
     code, out, _ = run(capsys, ["budak", "--m", "2", "--n", "3", "--order2-gamma"])
@@ -338,6 +350,7 @@ def test_analyze_bad_specs(capsys):
         "pade:-1,2",
         "budak:1,2,0",
         "budak:3,2,1",
+        "budak:2,3,1/0",
         "bessel:-1",
     ):
         code, _, err = run(capsys, ["analyze", "--source", spec])

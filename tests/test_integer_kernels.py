@@ -1,5 +1,11 @@
 """The integer kernels of the exact layer against their rational oracles.
 
+`Polynomial` holds integer numerators over one denominator, so its sums,
+scalar products, `monic`, `content`, `derivative` and `scale_substitute`
+run on integers; each must give exactly the Fraction coefficients of the
+list arithmetic in `_oracles`, and equal polynomials must compare and
+hash equal however they were built.
+
 `Polynomial.__mul__` clears denominators and convolves integers, and
 `routh_hurwitz` runs its rows as integers over one denominator. Both must
 give exactly what the plain computation over Fraction gives: the product
@@ -18,6 +24,8 @@ import math
 import random
 import sys
 from fractions import Fraction as F
+
+import pytest
 
 import _oracles
 from besselpade import (
@@ -75,6 +83,89 @@ def test_product_of_large_denominators_stays_reduced():
     q = Polynomial([1 / a, 0, -1 / a])
     assert p * q == Polynomial([1, 3 / a, 0, -3 / a, -1])
     assert all(type(c) is F for c in (p * q).coefficients)
+
+
+def assert_coefficients(got, want):
+    assert got.coefficients == tuple(want), (got, want)
+    assert got == Polynomial(want)
+
+
+# 0 and negative values included; the last two have large denominators
+SCALARS = [0, 1, -1, 12, F(-7, 3), F(5, 1 << 90), F(-(1 << 70), 3**50)]
+
+
+def test_integer_held_arithmetic_matches_the_fraction_lists():
+    rng = random.Random(20261019)
+    operands = [Polynomial(), Polynomial([7]), Polynomial([F(-3, 11)]), Polynomial([0, 0, 0, 1])]
+    operands += [random_polynomial(rng, rng.choice(KINDS)) for _ in range(80)]
+    for p in operands:
+        for q in (*operands[:4], rng.choice(operands), -p):
+            assert_coefficients(p + q, _oracles.fraction_sum(p, q))
+            assert_coefficients(p - q, _oracles.fraction_sum(p, -q))
+        assert_coefficients(-p, _oracles.fraction_scalar_product(p, -1))
+        assert_coefficients(p.derivative(), _oracles.fraction_derivative(p))
+        assert p.even_part() == Polynomial(p.coefficients[0::2])
+        assert p.odd_part() == Polynomial(p.coefficients[1::2])
+        for c in SCALARS:
+            assert_coefficients(p * c, _oracles.fraction_scalar_product(p, c))
+            assert_coefficients(c * p, _oracles.fraction_scalar_product(p, c))
+            assert_coefficients(p.scale_substitute(c), _oracles.fraction_scale_substitute(p, c))
+        if not p.is_zero:
+            assert_coefficients(p.monic(), _oracles.fraction_monic(p))
+            assert p.content() == _oracles.fraction_content(p)
+            assert p.leading == p.coefficients[-1]
+
+
+def test_equal_polynomials_hash_equal_however_built():
+    p = Polynomial([F(1, 2), F(-3, 4), 5])
+    routes = [
+        Polynomial(["1/2", "-3/4", "5", "0"]),
+        Polynomial([0.5, -0.75, 5.0]),
+        Polynomial([2, -3, 20]) * F(1, 4),
+        Polynomial([1, F(-3, 2), 10]) * Polynomial([F(1, 2)]),
+        Polynomial([F(1, 2)]) + Polynomial([0, F(-3, 4), 5]),
+        Polynomial([F(3, 2), F(-3, 4), 10]) - Polynomial([1, 0, 5]),
+        (p * F(-7, 3)).monic() * 5,
+        Polynomial([1, F(-3, 2), 10]).scale_substitute(1) * F(1, 2),
+    ]
+    ints = Polynomial([2, 4, 6])
+    int_routes = [
+        Polynomial([F(2), F(4), F(6)]),
+        Polynomial(["2", "4", "6"]),
+        Polynomial([2.0, 4.0, 6.0]),
+        Polynomial([1, 2, 3]) * 2,
+        Polynomial([F(1, 3), F(2, 3), 1]) * 6,
+        Polynomial([2, 2]) * Polynomial([1, 1]) + Polynomial([0, 0, 4]),
+        Polynomial([0, 2, 2, 2]).derivative() - Polynomial([0, 0, 0]),
+    ]
+    zero = Polynomial()
+    zero_routes = [Polynomial([0, 0]), Polynomial([F(0, 5), 0.0, "0/3"]), p - p, p * 0, 0 * ints]
+    zero_routes += [Polynomial([5]).derivative(), p.odd_part().odd_part()]
+    for want, built in ((p, routes), (ints, int_routes), (zero, zero_routes)):
+        for q in built:
+            assert q == want and hash(q) == hash(want), q
+            assert q.coefficients == want.coefficients
+    assert p.monic() == (p * F(-7, 3)).monic() == (p * 10).monic()
+    assert hash(p.monic()) == hash((p * F(-7, 3)).monic())
+    assert p != ints and p != zero and ints != zero
+
+
+def test_float_evaluation_of_coefficients_beyond_the_double_range():
+    # numerators and denominators past 2^200, their ratios within range
+    rng = random.Random(20261020)
+    args = [0.0, -0.0, 1.0, -2.5, 1e-300, 3.7e5, 1e40, 1j, 2.5 + 0.75j, complex(0.0, -1e8)]
+    polys = [q for q in (random_polynomial(rng, "huge", 8) for _ in range(30)) if not q.is_zero]
+    polys.append(Polynomial([F(10**400 + 1, 10**400), F(1, 3 * 10**399)]))
+    for p in polys:
+        for x in args:
+            got, want = p(x), _oracles.fraction_horner(p, x)
+            assert type(got) is type(want)
+            assert repr(got) == repr(want), (p, x)
+    # a coefficient itself beyond the double range
+    for c in (F(10) ** 400, -F(10) ** 400, F(3**700, 7)):
+        for x in (0.5, 0.5j):
+            with pytest.raises(OverflowError):
+                Polynomial([1, c])(x)
 
 
 def test_truncated_series_product_matches_schoolbook():

@@ -529,20 +529,21 @@ def _precision_from_env() -> int:
     return value
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it first
-    parses. A command line selects one subcommand, so a parse never pays
-    for the arguments of the other five."""
+class _Subcommand:
+    """Stands in for a subcommand's parser until a command line selects
+    it: `add_subparsers(parser_class=_Subcommand)` stores one under each
+    name, and `parse_known_args`, the one method argparse calls on a
+    stored parser, builds the real parser and its arguments. A parse thus
+    builds one subcommand's parser, not six."""
 
-    def __init__(self, *args, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = add_arguments
+    def __init__(self, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            add_arguments, self._add_arguments = self._add_arguments, None
-            add_arguments(self)
-        return super().parse_known_args(args, namespace)
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _rational(text: str) -> Fraction:
@@ -556,8 +557,8 @@ def _rational(text: str) -> Fraction:
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the command line. `main` builds one per call, so
     building stays cheap: the terminal width is read once here, not by
-    each help formatter argparse makes, and each subcommand adds its
-    arguments only when a command line selects it (`_Subcommand`). Help
+    each help formatter argparse makes, and a subcommand's parser is
+    built only when a command line selects it (`_Subcommand`). Help
     wraps at the width argparse itself would use, as read at build time."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(

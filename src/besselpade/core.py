@@ -123,9 +123,11 @@ class Polynomial:
 
     def coeff(self, power: int) -> Fraction:
         """Coefficient of x**power (zero beyond the stored degree)."""
-        if 0 <= power < len(self._nums):
-            return self.coefficients[power]
-        return _ZERO
+        if not 0 <= power < len(self._nums):
+            return _ZERO
+        if self._fractions is None:
+            return Fraction(self._nums[power], self._den)
+        return self._fractions[power]
 
     def lowest_nonzero_power(self) -> int:
         if not self._nums:
@@ -404,9 +406,10 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     if g.degree > 0:
         num = num // g
         den = den // g
-    lead = den.leading
-    if lead != 1:
-        num = num * (1 / lead)
+    lead = den._nums[-1]
+    if lead != den._den:
+        # num / (lead / den._den), and den scaled monic
+        num = Polynomial._from_ints([c * den._den for c in num._nums], num._den * lead)
         den = den.monic()
     return num, den
 
@@ -485,7 +488,7 @@ class EvenRationalFunction(_ReducedPair):
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
         super().__init__(numerator, denominator)
-        if self._den.coeff(0) <= 0:
+        if self._den._nums[0] <= 0:
             raise ValueError(
                 "even rational function requires a positive denominator constant term"
             )
@@ -568,11 +571,12 @@ def series_of_ratio(num: Polynomial, den: Polynomial, terms: int) -> TruncatedSe
     q0 = den.coeff(0)
     if q0 == 0:
         raise ZeroDivisionError("ratio is singular at the origin")
+    q = den.coefficients
     out: list[Fraction] = []
     for k in range(terms):
         acc = num.coeff(k)
-        for i in range(k):
-            acc -= out[i] * den.coeff(k - i)
+        for i in range(max(0, k - den.degree), k):
+            acc -= out[i] * q[k - i]
         out.append(acc / q0)
     return TruncatedSeries(out)
 

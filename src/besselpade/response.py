@@ -25,6 +25,7 @@ origin.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -88,8 +89,8 @@ def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
     ln, en, on = _jw_split(tf.numerator)
     ld, ed, od = _jw_split(tf.denominator)
     return EvenRationalFunction(
-        Polynomial([ld * ld * c for c in _abs_squared(en, on)]),
-        Polynomial([ln * ln * c for c in _abs_squared(ed, od)]),
+        Polynomial._from_ints([ld * ld * c for c in _abs_squared(en, on)], 1),
+        Polynomial._from_ints([ln * ln * c for c in _abs_squared(ed, od)], 1),
     )
 
 
@@ -111,8 +112,8 @@ def group_delay(tf: TransferFunction) -> EvenRationalFunction:
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
     return EvenRationalFunction(
-        Polynomial(_int_add(_convolve(dn, nd), _convolve(nn, dd), -1)),
-        Polynomial(_convolve(dd, nd)),
+        Polynomial._from_ints(_int_add(_convolve(dn, nd), _convolve(nn, dd), -1), 1),
+        Polynomial._from_ints(_convolve(dd, nd), 1),
     )
 
 
@@ -130,15 +131,18 @@ def flatness(
     (num_k - f(0)*den_k)/den(0). The default horizon
     2*(deg num + deg den) + 4 always suffices for a non-constant reduced
     function.
+
+    With num = N/L_N and den = D/L_D over the integers, f(0) is
+    N_0 L_D / (L_N D_0), so the scan is N_k D_0 != N_0 D_k on the stored
+    numerators, and the coefficient is (N_k D_0 - N_0 D_k) L_D / (L_N D_0^2).
     """
     num, den = f.numerator, f.denominator
     if max_terms is None:
         max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
-    value = f.at_origin()
-    # the constant terms agree by the choice of value
-    for order in range(1, max(num.degree, den.degree) + 1):
-        scaled = value * den.coeff(order)
-        if num.coeff(order) != scaled:
+    pairs = itertools.zip_longest(num._nums, den._nums, fillvalue=0)
+    n0, d0 = next(pairs)  # the constant terms agree by the choice of f(0)
+    for order, (nk, dk) in enumerate(pairs, 1):
+        if nk * d0 != n0 * dk:
             break
     else:
         raise FlatBeyondHorizon(
@@ -146,7 +150,8 @@ def flatness(
         )
     if order >= max_terms:
         raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
-    leading = (num.coeff(order) - scaled) / den.coeff(0)
+    value = Fraction(n0 * den._den, num._den * d0)
+    leading = Fraction((nk * d0 - n0 * dk) * den._den, num._den * d0 * d0)
     return FlatnessReport(value, order, leading, quantity)
 
 

@@ -141,8 +141,8 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     """Classify a polynomial of degree >= 1."""
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonzero polynomial of degree at least 1")
-    if p.leading < 0:
-        p = p * Fraction(-1)
+    if p._nums[-1] < 0:
+        p = -p
     leading, degenerate, first_pivot = _routh_leading(p)
     # d_i > 0, so T_i[0] has the sign of the column entry T_i[0] / d_i
     changes = _sign_changes([t for t, _ in leading])

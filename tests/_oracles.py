@@ -48,8 +48,9 @@ generalized Bessel polynomial from one backward factorial per term and
 the Pade denominator from the factorial sum with its Fraction
 prefactors, where the library steps the term ratio and clears (n+m)!. The flatness
 oracle forms the deviation polynomial num - f(0)*den and takes its
-lowest nonzero power, where the library scans the coefficient pairs
-without forming it.
+lowest nonzero power, and the Fraction-scan flatness oracle compares
+num_k with f(0)*den_k as `Fraction`s, where the library scans the
+stored integer numerators by cross-multiplication.
 """
 
 import cmath
@@ -829,4 +830,26 @@ def deviation_polynomial_flatness(f, max_terms=None, quantity=None):
     if order >= max_terms:
         raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
     leading = deviation.coeff(order) / f.denominator.coeff(0)
+    return FlatnessReport(value, order, leading, quantity)
+
+
+def fraction_scan_flatness(f, max_terms=None, quantity=None):
+    """`flatness` by scanning num_k against f(0)*den_k as `Fraction`s, one
+    coefficient at a time; the first pair that differs gives the order,
+    and their difference over den(0) the leading deviation."""
+    num, den = f.numerator, f.denominator
+    if max_terms is None:
+        max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
+    value = f.at_origin()
+    for order in range(1, max(num.degree, den.degree) + 1):
+        scaled = value * den.coeff(order)
+        if num.coeff(order) != scaled:
+            break
+    else:
+        raise FlatBeyondHorizon(
+            f"no deviation within {max_terms} terms: function is constant"
+        )
+    if order >= max_terms:
+        raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
+    leading = (num.coeff(order) - scaled) / den.coeff(0)
     return FlatnessReport(value, order, leading, quantity)

@@ -636,7 +636,7 @@ def test_precision_env_validation(capsys, monkeypatch):
 
 
 def test_one_parser_parses_every_subcommand_twice():
-    # a subcommand adds its arguments when it first parses, and only then
+    # a subcommand's parser is built when a command line selects it
     parser = build_parser()
     lines = [
         (["gbp", "--n", "3", "--alpha", "2", "--beta", "1/2"], {"n": 3, "alpha": F(2), "beta": F(1, 2)}),
@@ -665,3 +665,63 @@ def test_subcommand_help_lists_its_options_at_the_terminal_width(capsys, monkeyp
     # help text starts at column 24 and wraps at the terminal width less
     # two, so the 45-character source help fits on one line from 71 on
     assert ("pade:N,M | budak:M,N,G | bessel:N | file:PATH" in out) == (columns == "71")
+
+
+SUBCOMMANDS = {
+    "gbp": ("construct a generalized Bessel polynomial", ["--n N", "--alpha ALPHA", "--beta BETA", "--json"]),
+    "pade": ("(n,m) delay approximant", ["--n N", "--m M", "--analyze", "--json"]),
+    "budak": (
+        "two-sided scaled-Bessel approximant",
+        ["--m M", "--n N", "--gamma GAMMA", "--order2-gamma", "--json"],
+    ),
+    "analyze": ("full report for a transfer function source", ["--source SOURCE", "--json"]),
+    "sweep": (
+        "CSV frequency sweep",
+        ["--source SOURCE", "--omega-max OMEGA_MAX", "--points POINTS", "--output OUTPUT"],
+    ),
+    "compare": ("side-by-side approximant table", ["--n N", "--m M", "--json"]),
+}
+
+
+def exit_of(capsys, argv):
+    """The exit code, stdout and stderr of a command line that exits."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_every_subcommand(capsys, monkeypatch, flag):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = exit_of(capsys, [flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: besselpade [-h] {gbp,pade,budak,analyze,sweep,compare} ...\n")
+    for name, (summary, _) in SUBCOMMANDS.items():
+        assert any(line.split() == [name, *summary.split()] for line in out.splitlines()), name
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_lists_each_option(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = exit_of(capsys, [name, "-h"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: besselpade {name} [-h] ")
+    for option in ["-h, --help", *SUBCOMMANDS[name][1]]:
+        assert any(line.strip().startswith(option) for line in out.splitlines()), option
+
+
+def test_unknown_subcommand_is_an_invalid_choice(capsys):
+    code, out, err = exit_of(capsys, ["nosuch"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'nosuch'" in err
+    assert all(f"'{name}'" in err.split("choose from", 1)[1] for name in SUBCOMMANDS)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_missing_required_argument_prints_the_subcommand_usage(capsys, name):
+    code, out, err = exit_of(capsys, [name])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: besselpade {name} ")
+    assert f"besselpade {name}: error: the following arguments are required: " in err

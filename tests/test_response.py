@@ -9,7 +9,7 @@ import pytest
 
 import _oracles
 from besselpade.budak import BudakParams, budak_tf
-from besselpade.cli import sweep_rows
+from besselpade.cli import source_tf, sweep_rows
 from besselpade.core import EvenRationalFunction, Polynomial, TransferFunction
 from besselpade.gbp import gbp_of
 from besselpade.pade import PadeIndex, pade_exp
@@ -380,6 +380,31 @@ def test_flatness_matches_the_deviation_polynomial_oracle():
             ), (f, max_terms)
     # the all-pass magnitudes and the delay of pade:0,0 are constant
     assert raised >= 17
+
+
+def test_flatness_matches_the_fraction_scan_oracle():
+    # the sources the exact-ladder benchmark analyzes, and past them
+    specs = [f"pade:{n},{m}" for n in range(25) for m in range(25)]
+    specs += [f"bessel:{n}" for n in range(2, 54)]
+    specs += [
+        f"budak:{m},{n},{g}"
+        for n in range(2, 17)
+        for m in sorted({n - 1, n // 2})
+        for g in (F(2, 3), F(3, 2))
+    ]
+    raised = 0
+    for spec in specs:
+        tf, _ = source_tf(spec)
+        for f in (group_delay(tf), magnitude_squared(tf)):
+            got = flatness_outcome(flatness, f)
+            assert got == flatness_outcome(_oracles.fraction_scan_flatness, f), (spec, f)
+            raised += isinstance(got, str)
+    # the magnitudes of the all-pass pade:n,n, and the delay of pade:0,0
+    assert raised == 26
+    constant = EvenRationalFunction(Polynomial([F(3, 2), 3]), Polynomial([1, 2]))
+    for fn in (flatness, _oracles.fraction_scan_flatness):
+        with pytest.raises(FlatBeyondHorizon, match="function is constant"):
+            fn(constant)
 
 
 def test_flatness_constant_and_beyond_horizon_match_the_oracle():

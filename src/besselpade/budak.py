@@ -3,9 +3,10 @@
 G(s) = K * B_m[2*(gamma-1)*s; 2, 1] / B_n(2*gamma*s; 2, 1),
 K = B_n(0;2,1) / B_m(0;2,1), gamma > 0.
 
-The squared magnitude comes from one weight table: |B_k(j*omega; 2, 1)|^2
-has normalized u^j coefficient c(k, k-j)/c(k, k), with
-c(k, i) = C(k, i) (2i)!/i! (k+i)!. The normalized u^j coefficients of
+Every gamma analysis reads one table of integer weights: the u^j
+coefficient of A_k(u) = |B_k(j*omega; 2, 1)|^2 is a_j = c(k, k-j)/k!, with
+c(k, i) = C(k, i) (2i)!/i! (k+i)!, and its normalized coefficient, over
+the constant term, is a_j/a_0. The normalized u^j coefficients of
 numerator and denominator match only when (gamma/(gamma-1))^(2j) = A_j,
 the ratio of the B_m and B_n weights; no gamma can equate two pairs at
 once, so the magnitude flatness order tops out at 2, attained at the
@@ -15,9 +16,8 @@ roots of
 
 i.e. gamma = [(2n-1) +- sqrt((2n-1)(2m-1))] / (2(n-m)), the exact j = 1 pair.
 
-Both gamma analyses read the same weights. With
-A_k(u) = |B_k(j*omega; 2, 1)|^2 = sum_j a_j u^j, a_j = c(k, k-j)/k! an
-integer, the maximally flat delay of the Bessel polynomial (Thomson,
+The delay reads the same weights. With A_k(u) = sum_j a_j u^j, the
+maximally flat delay of the Bessel polynomial (Thomson,
 Proc. IEE 96, 1949) makes the phase slope of B_k(s; 2, 1) equal to
 (A_k(u) - lc_k^2 u^k) / (2 A_k(u)), lc_k its leading coefficient.
 Scaling s by sigma turns a slope psi(u) into sigma psi(sigma^2 u); with
@@ -40,10 +40,11 @@ and B_m. That is also the value of the canonical squared magnitude's
 normalized coefficients: at rational gamma other than 0 and 1 its two
 sides are coprime, Bessel polynomials being irreducible (Filaseta &
 Trifonov, J. reine angew. Math. 550, 2002), and at gamma = 1 the
-numerator is constant. The mismatch is still interpolated from integer
-gamma samples of the closed form, because the benchmark's gamma-compare
-workload counts `core.interpolate` as a stressed layer; once it stops,
-the closed form can be returned as it stands.
+numerator is constant. The closed form has degree at most 2j in gamma,
+so its values at 2j+1 integers determine it, and the mismatch is
+interpolated through exactly those, because the benchmark's
+gamma-compare workload counts `core.interpolate` as a stressed layer;
+once it stops, the closed form can be returned as it stands.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .core import (
     poly_gcd,
 )
 from .gbp import gbp_of
-from .response import FlatnessReport, Quantity, flatness, group_delay
+from .response import FlatnessReport, delay_flatness, group_delay
 from .stability import Verdict, routh_hurwitz
 
 Gamma = Union[Fraction, int, str, QuadSurd]
@@ -129,18 +130,14 @@ def _weights(k: int) -> list[int]:
     return [math.comb(k, i) * f(2 * i) // f(i) * f(k + i) // f(k) for i in range(k, -1, -1)]
 
 
-def _unit_magnitude(k: int) -> list[Fraction]:
-    """The weights of B_k over their constant term, c(k, k-j)/c(k, k)."""
-    a = _weights(k)
-    return [Fraction(x, a[0]) for x in a]
-
-
 def budak_magnitude_closed(params: BudakParams) -> EvenRationalFunction:
     """Squared magnitude from the closed form, in u = omega^2: the weights
-    of B_m and B_n times (2(gamma-1))^(2j) and (2 gamma)^(2j) at u^j."""
+    of B_m and B_n times (2(gamma-1))^(2j) and (2 gamma)^(2j) at u^j, each
+    side over its constant weight (both scaled by a_0 b_0, which cancels)."""
     g = params.rational_gamma()
-    num = [b * (2 * (g - 1)) ** (2 * j) for j, b in enumerate(_unit_magnitude(params.m))]
-    den = [a * (2 * g) ** (2 * j) for j, a in enumerate(_unit_magnitude(params.n))]
+    a, b = _weights(params.n), _weights(params.m)
+    num = [a[0] * x * (2 * (g - 1)) ** (2 * j) for j, x in enumerate(b)]
+    den = [b[0] * x * (2 * g) ** (2 * j) for j, x in enumerate(a)]
     return EvenRationalFunction(Polynomial(num), Polynomial(den))
 
 
@@ -149,7 +146,8 @@ def coefficient_ratio(n: int, m: int, j: int) -> Fraction:
     normalized u^j magnitude coefficients."""
     if not 1 <= j <= m < n:
         raise ValueError("need 1 <= j <= m < n")
-    return _unit_magnitude(m)[j] / _unit_magnitude(n)[j]
+    a, b = _weights(n), _weights(m)
+    return Fraction(b[j] * a[0], b[0] * a[j])
 
 
 @dataclass(frozen=True)
@@ -233,27 +231,20 @@ def magnitude_gamma_mismatch(n: int, m: int, j: int) -> Polynomial:
     """Denominator-minus-numerator u^j coefficient, both normalized to
     unit constant term, as an exact polynomial in gamma.
 
-    Interpolated from the closed form alpha_j (2 gamma)^(2j) -
-    beta_j (2(gamma-1))^(2j) of the module docstring at integer gamma; a
-    held-out sample and a degree cap verify the polynomial model. j may
-    exceed the numerator degree m, in which case beta_j = 0 and the
-    mismatch is the bare denominator coefficient.
+    The closed form alpha_j (2 gamma)^(2j) - beta_j (2(gamma-1))^(2j) of
+    the module docstring has degree at most 2j in gamma, so its values at
+    the 2j+1 integers 0..2j determine it; the polynomial is interpolated
+    through them. j may exceed the numerator degree m, in which case
+    beta_j = 0 and the mismatch is the bare denominator coefficient.
     """
     if not (1 <= j <= n and 1 <= m < n):
         raise ValueError("need 1 <= m < n and 1 <= j <= n")
-    bound = 2 * max(j, m)
-    alpha = _unit_magnitude(n)[j]
-    beta = _unit_magnitude(m)[j] if j <= m else 0
-
-    def mismatch_at(t: int) -> Fraction:
-        return alpha * (2 * t) ** (2 * j) - beta * (2 * (t - 1)) ** (2 * j)
-
-    poly = interpolate([(t, mismatch_at(t)) for t in range(1, bound + 4)])
-    if poly.degree > bound:
-        raise ArithmeticError("mismatch interpolation exceeded its degree bound")
-    if poly(bound + 4) != mismatch_at(bound + 4):
-        raise ArithmeticError("mismatch interpolation failed the held-out check")
-    return poly
+    a, b = _weights(n), _weights(m)
+    alpha = Fraction(a[j], a[0])
+    beta = Fraction(b[j], b[0]) if j <= m else 0
+    k = 2 * j
+    samples = [alpha * (2 * t) ** k - beta * (2 * t - 2) ** k for t in range(k + 1)]
+    return interpolate(list(enumerate(samples)))
 
 
 @dataclass(frozen=True)
@@ -419,10 +410,9 @@ def delay_flatness_order_budak(params: BudakParams) -> FlatnessReport:
     """Flatness of the group delay; order m whenever m < n, gamma not 0 or 1."""
     if params.m < 1:
         raise ValueError("need numerator degree at least 1")
-    g = params.rational_gamma()
-    if g == 1:
+    if params.rational_gamma() == 1:
         raise ValueError("gamma = 1 degenerates to the all-pole case")
-    return flatness(group_delay(budak_tf(params)), quantity=Quantity.DELAY)
+    return delay_flatness(budak_tf(params))
 
 
 @dataclass(frozen=True)

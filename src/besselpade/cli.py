@@ -384,16 +384,19 @@ def sweep_rows(
     throughout; the delay alone is inf where the group delay's own
     denominator flags.
 
-    A pole of order k at s = 0 flags the omega = 0 row. For omega > 0 the
-    factor s^k of D adds only the constant phase -k*pi/2, so the delay is
-    that of N over D with its k lowest, zero, coefficients dropped.
+    A factor s^k of N or D adds only the constant phase k*pi/2 or
+    -k*pi/2, so the delay is that of N over D with the k lowest, zero,
+    coefficients of either dropped. A pole at s = 0 flags the omega = 0
+    row; a zero there leaves that row magnitude 0.0 and the finite delay
+    of the reduced function.
     """
     omegas = [omega_max * i / (points - 1) for i in range(points)]
     h_pairs = _sample_pairs(tf, omegas)
-    den = tf.denominator
-    origin_poles = den.lowest_nonzero_power()
-    if origin_poles:
-        tf = TransferFunction(tf.numerator, Polynomial(den.coefficients[origin_poles:]))
+    num, den = tf.numerator, tf.denominator
+    zeros, poles = num.lowest_nonzero_power(), den.lowest_nonzero_power()
+    if zeros or poles:
+        num, den = Polynomial(num.coefficients[zeros:]), Polynomial(den.coefficients[poles:])
+        tf = TransferFunction(num, den)
     delay_pairs = _sample_pairs(group_delay(tf), omegas)
     rows = []
     for w, (h, flagged), (delay, _) in zip(omegas, h_pairs, delay_pairs):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -212,7 +211,8 @@ def _sample_pairs(
     num, den = f.numerator, f.denominator
     exact_point = _exact_sampler(f)
     try:
-        float(max(abs(c) for p in (num, den) for c in p.coefficients))
+        for p in (num, den):  # raises past the double range
+            max(map(abs, p._nums), default=0) / p._den
     except OverflowError:
         return [exact_point(w) for w in ws]
     num_gate, den_gate = _horner_gate(num), _horner_gate(den)
@@ -237,9 +237,9 @@ def _sample_pairs(
 def _horner_gate(p: Polynomial) -> list[float]:
     """The ascending coefficients of 2^27 * (deg p + 1) * eps * sum |p_k| t^k,
     a polynomial in t = |x|, each rounded once: a double Horner value of p
-    that exceeds it has about eight correct digits."""
-    factor = 2**27 * (p.degree + 1) * Fraction(sys.float_info.epsilon)
-    return [float(factor * abs(c)) for c in p.coefficients]
+    that exceeds it has about eight correct digits. With eps = 2^-52 and
+    p_k = n_k / den, the coefficient is (deg p + 1) |n_k| / (den * 2^25)."""
+    return [(p.degree + 1) * abs(c) / (p._den << 25) for c in p._nums]
 
 
 def _exact_sampler(

@@ -498,6 +498,32 @@ def test_sweep_of_a_pole_at_the_origin(tmp_path, capsys, den):
         assert row[1:] == [repr(abs(hp.value)), repr(cmath.phase(hp.value)), repr(dp.value)]
 
 
+@pytest.mark.parametrize("num", [[0, 1], [0, 0, 1, 1]])
+def test_sweep_of_a_zero_at_the_origin(tmp_path, capsys, num):
+    # s/(2s^2 + 2s + 1) and s^2 (s + 1)/(2s^2 + 2s + 1): s^k in N adds the
+    # constant phase k*pi/2, so the delay, at the origin too, is that of N
+    # without it over D; the omega = 0 row reads magnitude 0 and is not flagged
+    path = tmp_path / "origin_zero.json"
+    path.write_text(json.dumps({"num": num, "den": [1, 2, 2]}))
+    code, out, err = run(
+        capsys,
+        ["sweep", "--source", f"file:{path}", "--omega-max", "3", "--points", "7"],
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][1] == "0.0"
+    tf, _ = source_tf(f"file:{path}")
+    k = num.count(0)
+    reduced = TransferFunction(Polynomial(tf.numerator.coefficients[k:]), tf.denominator)
+    omegas = [float(row[0]) for row in rows]
+    h = sample(tf, omegas)
+    delay = sample(group_delay(reduced), omegas)
+    for row, hp, dp in zip(rows, h, delay):
+        assert len(row) == 4, row
+        assert not hp.pole_adjacent and math.isfinite(dp.value)
+        assert row[1:] == [repr(abs(hp.value)), repr(cmath.phase(hp.value)), repr(dp.value)]
+
+
 @pytest.mark.parametrize("c, omega_max", [("1e-12", "2e-6"), ("1e16", "2e8")])
 def test_sweep_flags_frequency_scaled_poles(tmp_path, capsys, c, omega_max):
     path = tmp_path / "osc.json"

@@ -28,9 +28,11 @@ from .core import EvenRationalFunction, Polynomial, TransferFunction, surd_to_fl
 from .gbp import GbpParams, classical_bessel, gbp
 from .pade import PadeIndex, pade_exp
 from .response import (
+    FlatBeyondHorizon,
     FlatnessReport,
     Quantity,
     _sample_pairs,
+    delay_flatness,
     flatness,
     group_delay,
     magnitude_squared,
@@ -131,10 +133,15 @@ def _pole_stability(tf: TransferFunction) -> StabilityReport:
 
 
 def design_report(tf: TransferFunction, provenance: dict) -> DesignReport:
+    stability = _pole_stability(tf)
+    try:
+        delay = delay_flatness(tf)
+    except FlatBeyondHorizon:  # a constant delay
+        delay = _flatness_or_constant(group_delay(tf), Quantity.DELAY)
     return DesignReport(
         tf,
-        _pole_stability(tf),
-        _flatness_or_constant(group_delay(tf), Quantity.DELAY),
+        stability,
+        delay,
         _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
         minimum_phase(tf),
         provenance,
@@ -382,7 +389,9 @@ def sweep_rows(
     exact group delay the delay; the rows read its (value, pole_adjacent)
     pairs directly. A row next to a pole of H is flagged and carries inf
     throughout; the delay alone is inf where the group delay's own
-    denominator flags.
+    denominator flags. Where the double H is real at omega != 0 while H
+    is not, its imaginary part underflowed, and the phase comes from the
+    exact value (`_exact_phase`).
 
     A factor s^k of N or D adds only the constant phase k*pi/2 or
     -k*pi/2, so the delay is that of N over D with the k lowest, zero,
@@ -394,17 +403,46 @@ def sweep_rows(
     h_pairs = _sample_pairs(tf, omegas)
     num, den = tf.numerator, tf.denominator
     zeros, poles = num.lowest_nonzero_power(), den.lowest_nonzero_power()
+    reduced = tf
     if zeros or poles:
-        num, den = Polynomial(num.coefficients[zeros:]), Polynomial(den.coefficients[poles:])
-        tf = TransferFunction(num, den)
-    delay_pairs = _sample_pairs(group_delay(tf), omegas)
+        reduced = TransferFunction(
+            Polynomial(num.coefficients[zeros:]), Polynomial(den.coefficients[poles:])
+        )
+    delay_pairs = _sample_pairs(group_delay(reduced), omegas)
     rows = []
     for w, (h, flagged), (delay, _) in zip(omegas, h_pairs, delay_pairs):
         if flagged:
             rows.append((w, math.inf, math.inf, math.inf, True))
-        else:
+        elif h.imag or not w:
             rows.append((w, abs(h), cmath.phase(h), delay, False))
+        else:  # H is real, or its imaginary part underflowed
+            rows.append((w, abs(h), _exact_phase(tf, w, h), delay, False))
     return rows
+
+
+def _exact_phase(tf: TransferFunction, w: float, h: complex) -> float:
+    """arg H(j*w) from the exact N(j*w)*conj(D(j*w)) = re + j*im, or the
+    phase of the double h where im = 0.
+
+    With P(j*w) = E(-w^2) + j*w*O(-w^2) for the even and odd parts of P,
+    re and im are rationals; over one positive denominator they are a
+    Gaussian integer a + j*b with the same argument. Both parts are
+    scaled by one power of two, so the larger has at most 1000 bits, and
+    rounded once each before `atan2`: the argument keeps full relative
+    precision however far the double quotient N/D underflows.
+    """
+    x = Fraction(w)
+    v = -x * x
+    num, den = tf.numerator, tf.denominator
+    en, on = num.even_part()(v), num.odd_part()(v)
+    ed, od = den.even_part()(v), den.odd_part()(v)
+    im = x * (on * ed - en * od)
+    if not im:
+        return cmath.phase(h)
+    re = en * ed - v * on * od
+    a, b = re.numerator * im.denominator, im.numerator * re.denominator
+    scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)
+    return math.atan2(b / scale, a / scale)
 
 
 def _cmd_sweep(args, precision: int) -> int:

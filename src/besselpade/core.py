@@ -298,20 +298,27 @@ class Polynomial:
     # -- rendering ---------------------------------------------------------
 
     def to_str(self, var: str = "s") -> str:
-        """Render in descending powers, e.g. "s^3 + 9 s^2 + 36 s + 60"."""
+        """Render in descending powers, e.g. "s^3 + 9 s^2 + 36 s + 60".
+
+        Each coefficient n_k / den is written as str(Fraction) would write
+        it, in lowest terms by one gcd and without the "/q" when q = 1.
+        """
         if self.is_zero:
             return "0"
         parts: list[str] = []
+        den = self._den
         for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
+            c = self._nums[power]
+            if not c:
                 continue
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
+            g = math.gcd(c, den)
+            p, q = abs(c) // g, den // g
+            mag = str(p) if q == 1 else f"{p}/{q}"
+            if power:
                 x = var if power == 1 else f"{var}^{power}"
-                body = x if mag == 1 else f"{mag} {x}"
+                body = x if mag == "1" else f"{mag} {x}"
+            else:
+                body = mag
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -416,7 +423,7 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
 
 def _wrap(p: Polynomial, var: str) -> str:
     s = p.to_str(var)
-    return f"({s})" if len(p.coefficients) > 1 else s
+    return f"({s})" if p.degree > 0 else s
 
 
 class _ReducedPair:

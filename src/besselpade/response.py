@@ -19,7 +19,7 @@ of N and D, times L_D^2 / L_N^2. Products run on integer lists through
 `core._convolve`; each result becomes two `Polynomial`s once, when it is
 put in canonical form. Both quantities are exact even rational
 functions; flatness orders fall out of their Maclaurin expansions at the
-origin.
+origin, which the delay's products give before any reduction.
 """
 
 from __future__ import annotations
@@ -102,18 +102,22 @@ def _phase_slope(p: Polynomial) -> tuple[list[int], list[int]]:
     return num, _abs_squared(e, o)
 
 
-def group_delay(tf: TransferFunction) -> EvenRationalFunction:
-    """t_d(omega) = -d(arg H(j*omega))/d(omega), exact in u."""
+def _delay_products(tf: TransferFunction) -> tuple[list[int], list[int]]:
+    """The group delay psi_D - psi_N as the integer lists
+    A_D*B_N - A_N*B_D over B_D*B_N, with A_P/B_P = psi_P, not reduced."""
     if tf.denominator.coeff(0) == 0:
         raise ValueError("phase undefined: pole at the origin")
     if tf.numerator.coeff(0) == 0:
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
-    return EvenRationalFunction(
-        Polynomial._from_ints(_int_add(_convolve(dn, nd), _convolve(nn, dd), -1), 1),
-        Polynomial._from_ints(_convolve(dd, nd), 1),
-    )
+    return _int_add(_convolve(dn, nd), _convolve(nn, dd), -1), _convolve(dd, nd)
+
+
+def group_delay(tf: TransferFunction) -> EvenRationalFunction:
+    """t_d(omega) = -d(arg H(j*omega))/d(omega), exact in u."""
+    num, den = _delay_products(tf)
+    return EvenRationalFunction(Polynomial._from_ints(num, 1), Polynomial._from_ints(den, 1))
 
 
 def flatness(
@@ -121,41 +125,65 @@ def flatness(
     max_terms: Optional[int] = None,
     quantity: Optional[Quantity] = None,
 ) -> FlatnessReport:
-    """Order and leading coefficient of the deviation from the origin value.
+    """Order and leading coefficient of the deviation from the origin value
+    (`_first_deviation`). The default horizon 2*(deg num + deg den) + 4
+    always suffices for a non-constant reduced function."""
+    num, den = f.numerator, f.denominator
+    if max_terms is None:
+        max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
+    report = _first_deviation(num._nums, den._nums, num._den, den._den, quantity)
+    if report.order is None:
+        raise FlatBeyondHorizon(
+            f"no deviation within {max_terms} terms: function is constant"
+        )
+    if report.order >= max_terms:
+        raise FlatBeyondHorizon(f"first deviation at u^{report.order} exceeds the horizon")
+    return report
+
+
+def _first_deviation(
+    num: Sequence[int],
+    den: Sequence[int],
+    num_den: int = 1,
+    den_den: int = 1,
+    quantity: Optional[Quantity] = None,
+) -> FlatnessReport:
+    """Flatness of f = (num/num_den) / (den/den_den), from the integer
+    lists num and den with den[0] != 0; order None for a constant f.
 
     Reads the exact deviation polynomial num - f(0)*den one coefficient at
     a time, without forming it: because the denominator is nonzero at the
     origin, the ratio's Maclaurin series first deviates at exactly the
     lowest k with num_k != f(0)*den_k, with coefficient
-    (num_k - f(0)*den_k)/den(0). The default horizon
-    2*(deg num + deg den) + 4 always suffices for a non-constant reduced
-    function.
-
-    With num = N/L_N and den = D/L_D over the integers, f(0) is
-    N_0 L_D / (L_N D_0), so the scan is N_k D_0 != N_0 D_k on the stored
-    numerators, and the coefficient is (N_k D_0 - N_0 D_k) L_D / (L_N D_0^2).
+    (num_k - f(0)*den_k)/den(0). With N = num and D = den, f(0) is
+    N_0 L_D / (L_N D_0) for L_N = num_den and L_D = den_den, so the scan
+    is N_k D_0 != N_0 D_k, and the coefficient is
+    (N_k D_0 - N_0 D_k) L_D / (L_N D_0^2).
     """
-    num, den = f.numerator, f.denominator
-    if max_terms is None:
-        max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
-    pairs = itertools.zip_longest(num._nums, den._nums, fillvalue=0)
+    pairs = itertools.zip_longest(num, den, fillvalue=0)
     n0, d0 = next(pairs)  # the constant terms agree by the choice of f(0)
+    value = Fraction(n0 * den_den, num_den * d0)
     for order, (nk, dk) in enumerate(pairs, 1):
         if nk * d0 != n0 * dk:
-            break
-    else:
-        raise FlatBeyondHorizon(
-            f"no deviation within {max_terms} terms: function is constant"
-        )
-    if order >= max_terms:
-        raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
-    value = Fraction(n0 * den._den, num._den * d0)
-    leading = Fraction((nk * d0 - n0 * dk) * den._den, num._den * d0 * d0)
-    return FlatnessReport(value, order, leading, quantity)
+            leading = Fraction((nk * d0 - n0 * dk) * den_den, num_den * d0 * d0)
+            return FlatnessReport(value, order, leading, quantity)
+    return FlatnessReport(value, None, Fraction(0), quantity)
 
 
 def delay_flatness(tf: TransferFunction) -> FlatnessReport:
-    return flatness(group_delay(tf), quantity=Quantity.DELAY)
+    """`flatness` of `group_delay(tf)`, read off the products it reduces.
+
+    The delay is num/den before its canonical form, with den(0) > 0. A
+    common factor g of num and den has g(0) != 0, and
+    num - f(0)*den = g * (the reduced deviation), so the scan finds the
+    same lowest power and, over den(0), the same coefficient. The order
+    stays below the horizon of the reduced function, which exceeds both
+    of its degrees. A constant delay goes to `flatness`, which raises.
+    """
+    report = _first_deviation(*_delay_products(tf), quantity=Quantity.DELAY)
+    if report.order is None:
+        return flatness(group_delay(tf), quantity=Quantity.DELAY)
+    return report
 
 
 def magnitude_flatness(tf: TransferFunction) -> FlatnessReport:

@@ -50,7 +50,12 @@ prefactors, where the library steps the term ratio and clears (n+m)!. The flatne
 oracle forms the deviation polynomial num - f(0)*den and takes its
 lowest nonzero power, and the Fraction-scan flatness oracle compares
 num_k with f(0)*den_k as `Fraction`s, where the library scans the
-stored integer numerators by cross-multiplication.
+stored integer numerators by cross-multiplication. The delay flatness
+oracle scans the canonical group delay, and the design report oracle
+builds every report's delay flatness from it, where the library scans
+the delay's integer products before any reduction. The rendering oracle
+compares and prints each coefficient as a `Fraction`, where the library
+writes n_k/den in lowest terms by one gcd.
 """
 
 import cmath
@@ -79,8 +84,9 @@ from besselpade import (
     interpolate,
     sample,
 )
+from besselpade.cli import DesignReport, _flatness_or_constant, _pole_stability, minimum_phase
 from besselpade.gbp import backward_factorial
-from besselpade.response import SamplePoint
+from besselpade.response import Quantity, SamplePoint, flatness, magnitude_squared
 
 
 def _polyval(poly, x):
@@ -853,3 +859,44 @@ def fraction_scan_flatness(f, max_terms=None, quantity=None):
         raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
     leading = (num.coeff(order) - scaled) / den.coeff(0)
     return FlatnessReport(value, order, leading, quantity)
+
+
+def canonical_delay_flatness(tf):
+    """`delay_flatness` as the flatness of the canonical group delay."""
+    return flatness(group_delay(tf), quantity=Quantity.DELAY)
+
+
+def canonical_design_report(tf, provenance):
+    """`cli.design_report` with the delay flatness read off the canonical
+    group delay, an exactly constant delay reported with order None."""
+    return DesignReport(
+        tf,
+        _pole_stability(tf),
+        _flatness_or_constant(group_delay(tf), Quantity.DELAY),
+        _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
+        minimum_phase(tf),
+        provenance,
+    )
+
+
+def fraction_to_str(p, var="s"):
+    """`Polynomial.to_str` from the `Fraction` coefficients, each compared
+    with 0 and 1 and printed by `str`."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for power in range(p.degree, -1, -1):
+        c = p.coefficients[power]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if power == 0:
+            body = str(mag)
+        else:
+            x = var if power == 1 else f"{var}^{power}"
+            body = x if mag == 1 else f"{mag} {x}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)

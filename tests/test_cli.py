@@ -10,7 +10,8 @@ import mpmath as mp
 import pytest
 
 import _oracles
-from besselpade.cli import build_parser, main, source_tf, tf_from_provenance
+from besselpade import cli
+from besselpade.cli import build_parser, main, source_tf, sweep_rows, tf_from_provenance
 from besselpade.core import Polynomial, TransferFunction
 from besselpade.response import group_delay, magnitude_squared, sample
 
@@ -580,6 +581,78 @@ def test_sweep_of_sources_beyond_the_float_range(capsys, spec):
             assert mag == pytest.approx(ref_mag, rel=1e-9), (spec, w)
             assert abs(cmath.phase(cmath.rect(1.0, phase - ref_phase))) < 1e-9, (spec, w)
             assert delay == pytest.approx(ref_delay, rel=1e-9), (spec, w)
+
+
+def test_sweep_phase_where_the_imaginary_part_underflows(capsys):
+    # |H| falls to 1e-293 while the phase is about 36/omega, so Im H is
+    # below the least double; the phase comes from the exact N*conj(D)
+    tf, _ = source_tf("bessel:8")
+    code, out, err = run(
+        capsys, ["sweep", "--source", "bessel:8", "--omega-max", "1e39", "--points", "41"]
+    )
+    assert code == 0, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    old = _oracles.sample_sweep_rows(tf, 1e39, 41)
+    assert len(rows) == len(old) == 41
+    for (w, mag, phase, delay), (old_w, old_mag, old_phase, old_delay, _) in zip(rows, old):
+        assert (w, mag, delay) == (old_w, old_mag, old_delay)
+        if w == 0:
+            assert phase == old_phase
+            continue
+        assert old_phase == 0.0 and phase != 0.0, w
+        with mp.workdps(60):
+            ref = mp.arg(_oracles.transfer_value(tf, w))
+            assert abs((phase - ref) / ref) < 1e-12, w
+    # an H that is real on the axis keeps the phase of the double H
+    real = TransferFunction(Polynomial([1]), Polynomial([4, 0, 1]))
+    for omega_max in (1.0, 40.0, 1e200):
+        got = sweep_rows(real, omega_max, 9)
+        assert repr(got) == repr(_oracles.sample_sweep_rows(real, omega_max, 9))
+
+
+def axis_root_files(tmp_path):
+    """file: specs of H with poles or zeros on the imaginary axis, whose
+    delay products share a factor before reduction, and of H with a pole
+    or a zero at the origin, whose delay is undefined."""
+    pairs = {
+        "zero_pair": ([1, 1, 1, 1], [8, 12, 6, 1]),  # (s^2+1)(s+1) / (s+2)^3
+        "pole_pair": ([1], [4, 0, 1]),  # 1/(s^2+4)
+        "constant_delay": ([1], [1, 0, 1]),  # 1/(s^2+1)
+        "both": ([4, 0, 1], [1, 1, 1, 1]),
+        "double_pair": ([3, 1, 6, 2, 3, 1], [1, 5, 10, 10, 5, 1]),
+        "unstable": ([1, -1], [2, 1, 4, 2, 2, 1]),
+        "fractions": (["1/3", "2/7", 1], ["5/2", 1, "1/9", 1]),
+        "pole_at_origin": ([1], [0, 1]),
+        "zero_at_origin": ([0, 1], [1, 1]),
+    }
+    specs = []
+    for name, (num, den) in pairs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"num": num, "den": den}))
+        specs.append(f"file:{path}")
+    return specs
+
+
+def test_analyze_matches_the_canonical_delay_route(tmp_path, capsys, monkeypatch):
+    specs = [f"pade:{n},{m}" for n in range(13) for m in range(13)]
+    specs += [f"bessel:{n}" for n in range(1, 21)]
+    specs += [f"budak:{m},{n},{g}" for n in range(1, 9) for m in range(n + 1) for g in ("2/3", "2")]
+    specs += axis_root_files(tmp_path)
+    argvs = [["analyze", "--source", spec, *flag] for spec in specs for flag in (["--json"], [])]
+    argvs += [["pade", "--n", "0", "--m", "0", "--analyze", "--json"]]
+    got = [run(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "design_report", _oracles.canonical_design_report)
+    want = [run(capsys, argv) for argv in argvs]
+    for argv, g, w in zip(argvs, got, want):
+        assert g == w, argv
+    codes = [code for code, _, _ in got]
+    assert codes.count(1) == 4 and codes.count(0) == len(argvs) - 4
+    delays = [
+        json.loads(out)["delay_flatness"]
+        for argv, (code, out, _) in zip(argvs, got)
+        if code == 0 and "--json" in argv
+    ]
+    assert sum(d["order"] is None for d in delays) == 4  # pade:0,0 twice, 1/(s^2+a)
 
 
 def test_sweep_usage_errors(capsys):

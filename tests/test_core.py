@@ -192,6 +192,25 @@ def test_to_str_conventions():
     assert Polynomial([5]).to_str() == "5"
 
 
+def test_to_str_matches_the_fraction_oracle():
+    local = random.Random(52177)
+    polys = [Polynomial(), Polynomial([1]), Polynomial([-1]), Polynomial([0, 0, F(-1, 1)])]
+    for _ in range(400):
+        degree = local.randint(0, 9)
+        polys.append(
+            Polynomial(
+                [
+                    local.choice([0, 1, -1, F(local.randint(-99, 99), local.randint(1, 30))])
+                    for _ in range(degree + 1)
+                ]
+            )
+        )
+    polys.append(Polynomial([F(10**40 + 1, 3**50), -(10**60), F(1, 2**70)]))
+    for p in polys:
+        for var in ("s", "u", "gamma"):
+            assert p.to_str(var) == _oracles.fraction_to_str(p, var), p
+
+
 def test_transfer_function_canonical():
     tf = TransferFunction(Polynomial([120, 0, 3]), Polynomial([0, 2, 0, 1]) * 2)
     assert tf.denominator.leading == 1

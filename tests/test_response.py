@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 
 import _oracles
@@ -324,10 +325,26 @@ def test_sample_matches_the_four_call_loop():
 
 
 def test_sweep_rows_match_rows_from_sample():
+    # where the double H is real at omega > 0 while the exact H is not,
+    # its imaginary part underflowed, and only the phase may differ from
+    # that of the double H: it is the exact phase, checked with mpmath
+    changed = 0
     for tf in kernel_sources():
         for omega_max, points in ((40.0, 9), (3e31, 4)):
             got = sweep_rows(tf, omega_max, points)
-            assert repr(got) == repr(_oracles.sample_sweep_rows(tf, omega_max, points)), tf
+            want = _oracles.sample_sweep_rows(tf, omega_max, points)
+            assert len(got) == len(want), tf
+            for row, old in zip(got, want):
+                if repr(row) == repr(old):
+                    continue
+                changed += 1
+                assert repr(row[:2] + row[3:]) == repr(old[:2] + old[3:]), (tf, row)
+                assert row[0] > 0 and old[2] in (0.0, math.pi, -math.pi), (tf, row)
+                with mp.workdps(60):
+                    ref = float(mp.arg(_oracles.transfer_value(tf, row[0])))
+                assert abs(row[2] - ref) <= 1e-12 * abs(ref), (tf, row)
+    # rows from omega = 1e31 of sources with 10 or more excess poles
+    assert changed == 57
 
 
 def flatness_outcome(fn, f, **kwargs):
@@ -421,6 +438,51 @@ def test_flatness_constant_and_beyond_horizon_match_the_oracle():
     assert flatness_outcome(flatness, late, max_terms=6) == (
         "raised: first deviation at u^6 exceeds the horizon"
     )
+
+
+def axis_root_sources():
+    """Transfer functions with poles or zeros on the imaginary axis, where
+    the delay's products share a factor (u - w0^2)^2 before reduction."""
+    axis, shifted = Polynomial([1, 0, 1]), Polynomial([4, 0, 1])
+    p1, p2, p3 = Polynomial([1, 1]), Polynomial([2, 1]), Polynomial([3, 1])
+    pairs = [
+        (axis * p1, p2**3),  # (s^2+1)(s+1) / (s+2)^3
+        (Polynomial([1]), shifted),  # 1/(s^2+4), a constant delay
+        (Polynomial([1]), axis),
+        (shifted, axis * p1),
+        (axis**2 * p3, p1**5),
+        (Polynomial([1, -1]), axis**2 * p2),
+        (axis * shifted, p1 * p2 * p3 * axis),
+        (Polynomial([F(1, 3), F(2, 7), 1]), Polynomial([F(5, 2), 1, F(1, 9), 1])),
+    ]
+    return [TransferFunction(n, d) for n, d in pairs]
+
+
+def test_delay_flatness_matches_the_canonical_delay_oracle():
+    tfs = [pe(n, m) for n in range(13) for m in range(13)]
+    tfs += [allpole(n) for n in range(1, 31)]
+    tfs += [
+        budak_tf(BudakParams(m, n, g))
+        for n in range(1, 13)
+        for m in range(n + 1)
+        for g in (F(2, 3), F(3, 2), F(2), F(1))
+    ]
+    tfs += axis_root_sources()
+    raised = 0
+    for tf in tfs:
+        got = flatness_outcome(delay_flatness, tf)
+        assert got == flatness_outcome(_oracles.canonical_delay_flatness, tf), tf
+        raised += isinstance(got, str)
+    # pade:0,0, 1/(s^2+4) and 1/(s^2+1) have constant delays
+    assert raised == 3
+    for tf in (
+        TransferFunction(Polynomial([0, 1]), Polynomial([1, 1])),
+        TransferFunction(Polynomial([1]), Polynomial([0, 1, 1])),
+    ):
+        with pytest.raises(ValueError) as want:
+            _oracles.canonical_delay_flatness(tf)
+        with pytest.raises(ValueError, match=str(want.value)):
+            delay_flatness(tf)
 
 
 def test_group_delay_scaling_identity():

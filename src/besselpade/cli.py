@@ -107,10 +107,21 @@ class DesignReport:
 
 
 def minimum_phase(tf: TransferFunction) -> bool:
-    """All zeros in the closed left half-plane (vacuous without zeros)."""
-    if tf.numerator.degree < 1:
+    """All zeros in the closed left half-plane (vacuous without zeros).
+
+    A real polynomial with every root in the closed left half-plane is
+    c * prod(s + a) * prod(s^2 + b*s + d) with a, b >= 0 and d > 0, so its
+    nonzero coefficients all share the sign of c. A numerator whose
+    nonzero coefficients take both signs therefore has a root with
+    Re s > 0 and is answered False without a Routh array; every other
+    numerator goes through `routh_hurwitz`.
+    """
+    num = tf.numerator
+    if num.degree < 1:
         return True
-    verdict = routh_hurwitz(tf.numerator).verdict
+    if len({c > 0 for c in num._nums if c}) > 1:
+        return False
+    verdict = routh_hurwitz(num).verdict
     return verdict in (Verdict.STRICT_HURWITZ, Verdict.MARGINAL)
 
 

@@ -65,11 +65,12 @@ class Polynomial:
     The coefficient of x**k is _nums[k] / _den, over the lcm _den > 0 of
     the coefficients' denominators, so the pair is unique. The numerators
     ascend in degree with no trailing zeros; the zero polynomial holds an
-    empty tuple over 1 and reports degree -1. Two cache slots are filled
-    on first use: `coefficients`, and the float lowering.
+    empty tuple over 1 and reports degree -1. Three cache slots are filled
+    on first use: `coefficients`, the float lowering, and the split on
+    the imaginary axis.
     """
 
-    __slots__ = ("_nums", "_den", "_fractions", "_lowered")
+    __slots__ = ("_nums", "_den", "_fractions", "_lowered", "_split")
 
     def __init__(self, coefficients: Iterable[Coefficient] = ()):
         coeffs = [c if isinstance(c, int) else _frac(c) for c in coefficients]
@@ -88,7 +89,7 @@ class Polynomial:
         while nums and not nums[-1]:
             nums.pop()
         self._nums, self._den = tuple(nums), den // g
-        self._fractions = self._lowered = None
+        self._fractions = self._lowered = self._split = None
         return self
 
     @classmethod
@@ -227,6 +228,19 @@ class Polynomial:
             floats = tuple([c / self._den for c in self._nums])
             self._lowered = (floats, tuple([complex(c) for c in floats]))
         return self._lowered
+
+    def _jw_split(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(L, e, o, e^2 + u*o^2), made once, with L*P(j*omega) =
+        e(u) + j*omega*o(u) for u = omega^2: L = _den > 0, and e and o
+        ascending integer tuples, (-1)^k times the even and odd numerators.
+        The last entry is |L*P(j*omega)|^2 as an integer tuple in u."""
+        if self._split is None:
+            e, o = list(self._nums[0::2]), list(self._nums[1::2])
+            e[1::2] = [-x for x in e[1::2]]
+            o[1::2] = [-x for x in o[1::2]]
+            square = _int_add(_convolve(e, e), [0, *_convolve(o, o)])
+            self._split = (self._den, tuple(e), tuple(o), tuple(square))
+        return self._split
 
     def derivative(self) -> "Polynomial":
         return Polynomial._from_ints([k * c for k, c in enumerate(self._nums)][1:], self._den)

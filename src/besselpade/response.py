@@ -1,7 +1,8 @@
 """Frequency-domain analysis in the variable u = omega^2.
 
-Each polynomial is split once, over the integers. With L > 0 the lcm of
-the denominators of P,
+Each polynomial is split once, over the integers, and the split is kept
+on the polynomial (`Polynomial._jw_split`). With L > 0 the lcm of the
+denominators of P,
 
     L * P(j*omega) = e(u) + j*omega*o(u),
 
@@ -10,12 +11,16 @@ integer polynomial L * P. The group delay comes from differentiating the
 phase:
 
     psi_P(u) = [e*o + 2u*(e*o' - o*e')] / (e^2 + u*o^2)
+             = [e*O - o*E] / (e^2 + u*o^2),
 
-with the delay of N/D equal to psi_D - psi_N. Numerator and denominator
-of psi_P are both quadratic in (e, o), so L cancels and the delay needs
-no correction. The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2
-is exactly psi_P's denominator, so |H(j*omega)|^2 is the ratio of those
-of N and D, times L_D^2 / L_N^2. Products run on integer lists through
+with O_k = (2k+1)*o_k and E_k = 2k*e_k, since o + 2u*o' has coefficients
+(2k+1)*o_k and 2u*e' has 2k*e_k: two products, not three. The delay of
+N/D is psi_D - psi_N. Numerator and denominator of psi_P are both
+quadratic in (e, o), so L cancels and the delay needs no correction.
+The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2 is exactly
+psi_P's denominator; it is formed once per polynomial, with the split,
+and both the delay and |H(j*omega)|^2, the ratio of those of N and D
+times L_D^2 / L_N^2, read it. Products run on integer lists through
 `core._convolve`; each result becomes two `Polynomial`s once, when it is
 put in canonical form. Both quantities are exact even rational
 functions; flatness orders fall out of their Maclaurin expansions at the
@@ -64,42 +69,29 @@ class FlatnessReport:
     quantity: Optional[Quantity] = None
 
 
-def _jw_split(p: Polynomial) -> tuple[int, list[int], list[int]]:
-    """(L, e, o) with L*P(j*omega) = e(u) + j*omega*o(u), u = omega^2: L > 0
-    the lcm of P's denominators, e and o ascending integer lists."""
-    e, o = list(p._nums[0::2]), list(p._nums[1::2])
-    e[1::2] = [-x for x in e[1::2]]
-    o[1::2] = [-x for x in o[1::2]]
-    return p._den, e, o
-
-
 def _derivative(c: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(c)][1:]
-
-
-def _abs_squared(e: list[int], o: list[int]) -> list[int]:
-    """e^2 + u*o^2 = |L*P(j*omega)|^2 from the split (L, e, o) of P."""
-    return _int_add(_convolve(e, e), [0, *_convolve(o, o)])
 
 
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
     """|H(j*omega)|^2 as a reduced even rational function of u:
     |N|^2 / |D|^2 = L_D^2 |L_N N|^2 / (L_N^2 |L_D D|^2)."""
-    ln, en, on = _jw_split(tf.numerator)
-    ld, ed, od = _jw_split(tf.denominator)
+    ln, _, _, num = tf.numerator._jw_split()
+    ld, _, _, den = tf.denominator._jw_split()
     return EvenRationalFunction(
-        Polynomial._from_ints([ld * ld * c for c in _abs_squared(en, on)], 1),
-        Polynomial._from_ints([ln * ln * c for c in _abs_squared(ed, od)], 1),
+        Polynomial._from_ints([ld * ld * c for c in num], 1),
+        Polynomial._from_ints([ln * ln * c for c in den], 1),
     )
 
 
-def _phase_slope(p: Polynomial) -> tuple[list[int], list[int]]:
-    """Numerator and denominator of psi_P(u) = d(arg P(j*omega))/d(omega),
-    as integer lists; the lcm of the split cancels."""
-    _, e, o = _jw_split(p)
-    cross = _int_add(_convolve(e, _derivative(o)), _convolve(o, _derivative(e)), -1)
-    num = _int_add(_convolve(e, o), [0, *(2 * c for c in cross)])
-    return num, _abs_squared(e, o)
+def _phase_slope(p: Polynomial) -> tuple[list[int], Sequence[int]]:
+    """Numerator e*O - o*E and denominator e^2 + u*o^2 of
+    psi_P(u) = d(arg P(j*omega))/d(omega), as integer lists; the lcm of
+    the split cancels. A constant P has slope [0] over its square."""
+    _, e, o, square = p._jw_split()
+    odd = [(2 * k + 1) * c for k, c in enumerate(o)]
+    even = [2 * k * c for k, c in enumerate(e)]
+    return _int_add(_convolve(e, odd), _convolve(o, even), -1) or [0], square
 
 
 def _delay_products(tf: TransferFunction) -> tuple[list[int], list[int]]:

@@ -53,7 +53,10 @@ num_k with f(0)*den_k as `Fraction`s, where the library scans the
 stored integer numerators by cross-multiplication. The delay flatness
 oracle scans the canonical group delay, and the design report oracle
 builds every report's delay flatness from it, where the library scans
-the delay's integer products before any reduction. The rendering oracle
+the delay's integer products before any reduction; its minimum phase
+runs the full Routh array on every numerator of positive degree, where
+the library answers a numerator with coefficients of both signs by
+those signs alone. The rendering oracle
 compares and prints each coefficient as a `Fraction`, where the library
 writes n_k/den in lowest terms by one gcd.
 """
@@ -82,9 +85,10 @@ from besselpade import (
     gamma_candidates,
     group_delay,
     interpolate,
+    routh_hurwitz,
     sample,
 )
-from besselpade.cli import DesignReport, _flatness_or_constant, _pole_stability, minimum_phase
+from besselpade.cli import DesignReport, _flatness_or_constant, _pole_stability
 from besselpade.gbp import backward_factorial
 from besselpade.response import Quantity, SamplePoint, flatness, magnitude_squared
 
@@ -866,15 +870,24 @@ def canonical_delay_flatness(tf):
     return flatness(group_delay(tf), quantity=Quantity.DELAY)
 
 
+def routh_minimum_phase(tf):
+    """`cli.minimum_phase` from the full Routh array of every numerator of
+    positive degree, with no coefficient-sign test first."""
+    if tf.numerator.degree < 1:
+        return True
+    return routh_hurwitz(tf.numerator).verdict in (Verdict.STRICT_HURWITZ, Verdict.MARGINAL)
+
+
 def canonical_design_report(tf, provenance):
     """`cli.design_report` with the delay flatness read off the canonical
-    group delay, an exactly constant delay reported with order None."""
+    group delay, an exactly constant delay reported with order None, and
+    the minimum phase read off the full Routh array."""
     return DesignReport(
         tf,
         _pole_stability(tf),
         _flatness_or_constant(group_delay(tf), Quantity.DELAY),
         _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
-        minimum_phase(tf),
+        routh_minimum_phase(tf),
         provenance,
     )
 

@@ -211,6 +211,30 @@ def test_budak_nonminimum_phase_below_one(capsys):
         capsys, ["budak", "--m", "2", "--n", "3", "--gamma", "2/3", "--json"]
     )
     assert payload["minimum_phase"] is False
+    # gamma = 1/2 gives the numerator 1 - s, a zero at s = 1
+    payload = run_json(capsys, ["analyze", "--source", "budak:1,2,1/2", "--json"])
+    assert payload["minimum_phase"] is False
+
+
+@pytest.mark.parametrize(
+    "num, want",
+    [
+        ([1, 0, 0, 1], False),  # s^3+1: one sign, but a right-half-plane pair
+        ([1, 0, 1], True),  # s^2+1: Marginal
+        ([1, 2, 1], True),  # (s+1)^2
+        (["-1/2", -1, "-1/2"], True),  # -(s+1)^2/2: one sign, negative
+        ([1, -1], False),  # 1-s: both signs
+        ([1, 0, -1, 0, 1], False),  # s^4-s^2+1: both signs, roots at +-e^(+-j*pi/6)
+    ],
+)
+def test_minimum_phase_matches_the_routh_array(tmp_path, capsys, num, want):
+    # over (s+2)^3: with (s+1)^3 the factor s+1 of s^3+1 would cancel
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps({"num": num, "den": [8, 12, 6, 1]}))
+    spec = f"file:{path}"
+    assert run_json(capsys, ["analyze", "--source", spec, "--json"])["minimum_phase"] is want
+    tf, _ = source_tf(spec)
+    assert cli.minimum_phase(tf) is _oracles.routh_minimum_phase(tf) is want
 
 
 def test_budak_gamma_flag_exclusivity(capsys):

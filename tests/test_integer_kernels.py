@@ -13,11 +13,15 @@ equal coefficient by coefficient, the stability report equal field by
 field and in its repr.
 
 The analyze path is integer-first too: `pade_exp` and `gbp` build their
-coefficients over the integers or by one exact step per term, and
-`group_delay` and `magnitude_squared` split L*P(j*omega) over the
-integers, and the exact points of `sample` are one homogeneous Horner sum
-over the integers at omega = p/q. Each must give exactly what the Fraction
-routes of `_oracles` give, down to the sign of a zero.
+coefficients over the integers or by one exact step per term;
+`group_delay` and `magnitude_squared` read one split of L*P(j*omega) over
+the integers, kept on each polynomial with |L*P(j*omega)|^2, and the
+delay forms its phase-slope numerators as the two products e*O - o*E; the
+exact points of `sample` are one homogeneous Horner sum over the integers
+at omega = p/q. Each must give exactly what the Fraction routes of
+`_oracles` give, down to the sign of a zero. `minimum_phase` answers a
+numerator with coefficients of both signs by those signs alone, and must
+give the verdict of the full Routh array on every numerator checked.
 """
 
 import math
@@ -41,6 +45,7 @@ from besselpade import (
     pade_exp,
     sample,
 )
+from besselpade.cli import minimum_phase
 from besselpade.core import Polynomial, TruncatedSeries
 from besselpade.pade import pade_denominator, pade_numerator
 from besselpade.stability import routh_hurwitz
@@ -238,6 +243,7 @@ G_VALUES = sorted(
 
 def assert_analysis_matches(tf):
     assert magnitude_squared(tf) == _oracles.fraction_magnitude_squared(tf), tf
+    assert minimum_phase(tf) is _oracles.routh_minimum_phase(tf), tf
     if tf.numerator.coeff(0) == 0 or tf.denominator.coeff(0) == 0:
         return
     assert group_delay(tf) == _oracles.fraction_group_delay(tf), tf

@@ -1,6 +1,8 @@
 """Group delay, magnitude and flatness tests."""
 
 import cmath
+import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -483,6 +485,55 @@ def test_delay_flatness_matches_the_canonical_delay_oracle():
             _oracles.canonical_delay_flatness(tf)
         with pytest.raises(ValueError, match=str(want.value)):
             delay_flatness(tf)
+
+
+def shared_split_sources(tmp_path):
+    """Pade, Bessel, Budak and file: specs, among them constant numerators
+    (Bessel, pade:0,m), a constant denominator (pade:n,0 and a file) and
+    rational coefficients (Budak at rational gamma and a file)."""
+    specs = ["pade:0,0", "pade:3,0", "pade:0,4", "pade:3,2", "pade:7,7", "pade:2,9"]
+    specs += ["bessel:1", "bessel:12", "budak:2,5,3/2", "budak:1,2,1/2", "budak:3,3,2/3"]
+    files = {
+        "constant_den": ([2, 3, 1], [5]),
+        "rational": (["1/3", "-2/7", 1], ["5/2", 1, "1/9", 1]),
+        "cubic": ([1, 0, 0, 1], [8, 12, 6, 1]),
+        "axis": ([4, 0, 1], ["1/2", 1, 1, 1]),
+    }
+    for name, (num, den) in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"num": num, "den": den}))
+        specs.append(f"file:{path}")
+    return specs
+
+
+def test_analysis_in_any_call_order_matches_a_fresh_copy_and_the_fraction_routes(tmp_path):
+    # each polynomial splits once and keeps |L*P(j*omega)|^2 for every
+    # later call; whichever call fills that, every result must be the same
+    def delay_report(tf):
+        return flatness_outcome(delay_flatness, tf)
+
+    def fraction_delay_report(tf):
+        fraction_delay = _oracles.fraction_group_delay(tf)
+        return flatness_outcome(flatness, fraction_delay, quantity=Quantity.DELAY)
+
+    calls = {
+        "group_delay": (group_delay, _oracles.fraction_group_delay),
+        "magnitude_squared": (magnitude_squared, _oracles.fraction_magnitude_squared),
+        "delay_flatness": (delay_report, fraction_delay_report),
+    }
+    constant_delays = 0
+    for spec in shared_split_sources(tmp_path):
+        want = {name: oracle(source_tf(spec)[0]) for name, (_, oracle) in calls.items()}
+        constant_delays += isinstance(want["delay_flatness"], str)
+        for order in itertools.permutations(calls):
+            tf = source_tf(spec)[0]
+            for name in order + order:  # the second round reads what the first left
+                fresh = TransferFunction(
+                    Polynomial(tf.numerator.coefficients), Polynomial(tf.denominator.coefficients)
+                )
+                call = calls[name][0]
+                assert call(tf) == call(fresh) == want[name], (spec, order, name)
+    assert constant_delays == 1  # pade:0,0
 
 
 def test_group_delay_scaling_identity():

@@ -50,6 +50,7 @@ once it stops, the closed form can be returned as it stands.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
@@ -61,8 +62,6 @@ from .core import (
     QuadSurd,
     TransferFunction,
     EvenRationalFunction,
-    _convolve,
-    _int_add,
     interpolate,
     nth_root_enclosure,
     poly_gcd,
@@ -330,8 +329,16 @@ def delay_gamma_polynomials(
     2 - [i = n] 2 gamma + [j = m] 2(gamma-1). The (n, m) term's weight is
     0, leaving numerator degree n+m-1 in u. Both sides have the constant
     term 2 (B_n(0) B_m(0))^2 > 0, free of gamma (the delay at omega = 0 is
-    1). All rows are integer lists; dividing them by their joint gcd gives
-    the jointly primitive block.
+    1).
+
+    Every row is a preallocated list of integers in gamma, ascending: the
+    u^k row of the denominator holds 2k+1 entries, of the numerator 2k+2.
+    Each term 2 a_i b_j 4^(i+j) gamma^(2i) (gamma-1)^(2j), with
+    (gamma-1)^(2j) read off signed binomials, is added in place into
+    denominator row i+j. The numerator rows start as copies of those and
+    take the weight's two corrections in place: gamma - 1 times the j = m
+    terms, minus gamma times the i = n terms. Dividing all rows by their
+    joint gcd gives the jointly primitive block.
 
     The block is checked at rational check points: the default single
     point gamma = 2, or every entry of `gamma_samples` (distinct, never 0
@@ -360,24 +367,35 @@ def delay_gamma_polynomials(
         if len(checks) <= bound:
             raise ValueError(f"need more than {bound} samples, got {len(checks)}")
 
-    a, b = _weights(n), _weights(m)
-    powers = [[1]]  # (gamma - 1)^k, ascending in gamma
-    for _ in range(2 * m):
-        powers.append(_convolve(powers[-1], [-1, 1]))
-    # the u^k rows of both sides, each an ascending integer list in gamma
-    num: list[list[int]] = [[] for _ in range(n + m)]
-    den: list[list[int]] = [[] for _ in range(n + m + 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            # 2 a_i b_j 4^(i+j) gamma^(2i) (gamma-1)^(2j)
-            term = [0] * (2 * i) + [2 * x * y * 4 ** (i + j) * c for c in powers[2 * j]]
-            den[i + j] = _int_add(den[i + j], term)
-            if i < n and j < m:
-                num[i + j] = _int_add(num[i + j], term)
-            elif i < n:  # times gamma
-                num[i + j] = _int_add(num[i + j], [0, *term])
-            elif j < m:  # times 1 - gamma
-                num[i + j] = _int_add(num[i + j], _convolve(term, [1, -1]))
+    # u^i coefficients of A_n(sigma_1^2 u) over gamma^(2i), and twice the
+    # u^j coefficients of A_m(sigma_2^2 u), (gamma-1)^(2j) expanded by
+    # signed binomials, ascending in gamma
+    xs = [x * 4**i for i, x in enumerate(_weights(n))]
+    cols = [
+        [(-1) ** t * math.comb(2 * j, t) * 2 * y * 4**j for t in range(2 * j + 1)]
+        for j, y in enumerate(_weights(m))
+    ]
+    # term (i, j) adds xs[i] * cols[j] * gamma^(2i) to denominator row i + j
+    den = [[0] * (2 * k + 1) for k in range(n + m + 1)]
+    for i, x in enumerate(xs):
+        for k, col in enumerate(cols, i):
+            row = den[k]
+            for t, c in enumerate(col, 2 * i):
+                row[t] += x * c
+    # the numerator weight 1 - [i = n] gamma + [j = m] (gamma - 1) is 0 for
+    # the (n, m) term, the only one in row n + m
+    num = [row + [0] for row in den[:-1]]
+    for i, x in enumerate(xs[:n]):
+        row = num[i + m]
+        for t, c in enumerate(cols[m], 2 * i):
+            c *= x
+            row[t] -= c
+            row[t + 1] += c
+    x = xs[n]
+    for k, col in enumerate(cols[:m], n):
+        row = num[k]
+        for t, c in enumerate(col, 2 * n + 1):
+            row[t] -= x * c
 
     for g in checks:
         delay = group_delay(budak_tf(BudakParams(m, n, g)))
@@ -390,7 +408,7 @@ def delay_gamma_polynomials(
         p, q = g.numerator, g.denominator
         scaled = [p**k * q ** (bound - k) for k in range(bound + 1)]
         for got, rows in ((delay.numerator, num), (delay.denominator, den)):
-            want = [sum(c * x for c, x in zip(row, scaled)) for row in rows]
+            want = [sum(map(operator.mul, row, scaled)) for row in rows]
             have = got._nums
             if any(h * want[0] != w * have[0] for h, w in zip_longest(have, want, fillvalue=0)):
                 raise ArithmeticError(f"delay block disagrees with the group delay at gamma = {g}")
@@ -400,8 +418,8 @@ def delay_gamma_polynomials(
     return DelayCoefficientPolys(
         m,
         n,
-        tuple([Polynomial([c // divisor for c in row]) for row in num[1:]]),
-        tuple([Polynomial([c // divisor for c in row]) for row in den[1:]]),
+        tuple([Polynomial._from_ints([c // divisor for c in row], 1) for row in num[1:]]),
+        tuple([Polynomial._from_ints([c // divisor for c in row], 1) for row in den[1:]]),
         Fraction(const // divisor),
     )
 

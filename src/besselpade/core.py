@@ -53,6 +53,21 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _square(a: Sequence[int]) -> list[int]:
+    """a * a for an ascending integer list, forming each cross product
+    a_i a_k (i < k) once and doubling it; nonempty a gives 2 len(a) - 1
+    entries, trailing zeros kept."""
+    out = [0] * (2 * len(a) - 1 if a else 0)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x += x
+            for t, y in enumerate(a[i + 1 :], 2 * i + 1):  # t = i + k
+                if y:
+                    out[t] += x * y
+    return out
+
+
 def _int_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
     """a + sign * b for ascending integer coefficient lists, trailing
     zeros kept."""
@@ -238,7 +253,7 @@ class Polynomial:
             e, o = list(self._nums[0::2]), list(self._nums[1::2])
             e[1::2] = [-x for x in e[1::2]]
             o[1::2] = [-x for x in o[1::2]]
-            square = _int_add(_convolve(e, e), [0, *_convolve(o, o)])
+            square = _int_add(_square(e), [0, *_square(o)])
             self._split = (self._den, tuple(e), tuple(o), tuple(square))
         return self._split
 
@@ -620,8 +635,8 @@ def exp_series(sign: int, terms: int) -> TruncatedSeries:
 def interpolate(points: Sequence[tuple[Coefficient, Coefficient]]) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton's divided differences over exact rationals; duplicated abscissae
-    are rejected.
+    Newton's divided differences over exact rationals, expanded in Horner
+    form on one coefficient list; duplicated abscissae are rejected.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -635,11 +650,15 @@ def interpolate(points: Sequence[tuple[Coefficient, Coefficient]]) -> Polynomial
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner assembly: p = c_{n-1}; p = p*(x - x_k) + c_k
-    poly = Polynomial([coef[-1]])
+    # Horner assembly on one ascending list: p = c_{n-1}; p = p*(x - x_k) + c_k
+    out = [coef[-1]]
     for k in range(n - 2, -1, -1):
-        poly = poly * Polynomial([-xs[k], 1]) + Polynomial([coef[k]])
-    return poly
+        x = xs[k]
+        out.append(out[-1])
+        for i in range(len(out) - 2, 0, -1):
+            out[i] = out[i - 1] - x * out[i]
+        out[0] = coef[k] - x * out[0]
+    return Polynomial(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,18 @@ the classical Bessel filter polynomials.
 
     t_(k+1) / t_k = (n-k)(n+k+alpha-1) / ((k+1) beta),
 
-since C(n,k+1)/C(n,k) = (n-k)/(k+1) and (q+1)^(k+1) = (q+1) (q)^(k). That
-is one exact step per coefficient, where each backward factorial alone
-takes k. When n+k+alpha-1 = 0 for some k < n (alpha an integer from
-2-2n to 1-n), the zero factor carries into every later term, as it does
-in the backward factorial.
+since C(n,k+1)/C(n,k) = (n-k)/(k+1) and (q+1)^(k+1) = (q+1) (q)^(k).
+With alpha = a/b and beta = c/d the ratio is U_k / D_k, U_k =
+(n-k)((n+k-1)b + a)d and D_k = (k+1)bc, so over the one denominator
+D_0 D_1 ... D_(n-1) the term t_k is the integer
+
+    U_0 ... U_(k-1) * D_k ... D_(n-1),
+
+a prefix product of the U's times a suffix product of the D's: 3n
+integer multiplications for the polynomial, no `Fraction`, and one gcd
+when the result is reduced. When n+k+alpha-1 = 0 for some k < n
+(alpha an integer from 2-2n to 1-n), U_k = 0 and the zero carries into
+every later term, as it does in the backward factorial.
 """
 
 from __future__ import annotations
@@ -60,12 +67,19 @@ def gbp(params: GbpParams) -> Polynomial:
     n = params.n
     a, b = params.alpha.numerator, params.alpha.denominator
     c, d = params.beta.numerator, params.beta.denominator
-    coeffs = [Fraction(1)] * (n + 1)
-    for k in range(n):
-        # the term ratio of the module docstring, alpha = a/b, beta = c/d
-        step = Fraction((n - k) * ((n + k - 1) * b + a) * d, (k + 1) * b * c)
-        coeffs[n - k - 1] = coeffs[n - k] * step
-    return Polynomial(coeffs)
+    # U_k and D_k of the module docstring; t_k = prod(ups[:k]) * suffix[k] / suffix[0]
+    ups = [(n - k) * ((n + k - 1) * b + a) * d for k in range(n)]
+    downs = [(k + 1) * b * c for k in range(n)]
+    suffix = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] * downs[k]
+    nums = [0] * (n + 1)
+    prefix = 1
+    for k, up in enumerate(ups):
+        nums[n - k] = prefix * suffix[k]
+        prefix *= up
+    nums[0] = prefix
+    return Polynomial._from_ints(nums, suffix[0])
 
 
 def gbp_of(n: int, alpha: RationalLike, beta: RationalLike) -> Polynomial:

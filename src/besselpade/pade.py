@@ -77,7 +77,8 @@ def pade_exp(idx: PadeIndex) -> TransferFunction:
     factor (n+m)! cancels."""
     n, m = idx.n, idx.m
     return TransferFunction(
-        Polynomial(_scaled_factor(m, n, -1)), Polynomial(_scaled_factor(n, m, 1))
+        Polynomial._from_ints(_scaled_factor(m, n, -1), 1),
+        Polynomial._from_ints(_scaled_factor(n, m, 1), 1),
     )
 
 

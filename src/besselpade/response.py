@@ -19,7 +19,8 @@ N/D is psi_D - psi_N. Numerator and denominator of psi_P are both
 quadratic in (e, o), so L cancels and the delay needs no correction.
 The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2 is exactly
 psi_P's denominator; it is formed once per polynomial, with the split,
-and both the delay and |H(j*omega)|^2, the ratio of those of N and D
+from two squares that form each cross product e_i*e_k once, and both
+the delay and |H(j*omega)|^2, the ratio of those of N and D
 times L_D^2 / L_N^2, read it. Products run on integer lists through
 `core._convolve`; each result becomes two `Polynomial`s once, when it is
 put in canonical form. Both quantities are exact even rational

@@ -9,7 +9,11 @@ The Budak delay-block oracles recover the block by sampling the canonical
 group delay at rational gamma and interpolating, and by substituting
 sigma = 2 gamma and 2(gamma-1) into the Fraction phase slopes of the
 unscaled Bessel polynomials, where the library reads it off the
-maximally-flat-delay identity of the weight table. The magnitude
+maximally-flat-delay identity of the weight table; the term-by-term
+block oracle sums the same identity one new list per term, where the
+library adds each term in place. The interpolation oracle expands
+Newton's form with two new `Polynomial`s per Horner step, where the
+library expands on one coefficient list. The magnitude
 mismatch oracle interpolates the normalized coefficients of the
 canonical squared magnitude at integer gamma, where the library samples
 the closed form of the weights. The decimal-rendering oracle
@@ -46,7 +50,8 @@ sweep-row oracle builds the CSV rows from public `sample`. The source
 oracles build the
 generalized Bessel polynomial from one backward factorial per term and
 the Pade denominator from the factorial sum with its Fraction
-prefactors, where the library steps the term ratio and clears (n+m)!. The flatness
+prefactors, where the library multiplies the term ratios out over the
+integers and clears (n+m)!. The flatness
 oracle forms the deviation polynomial num - f(0)*den and takes its
 lowest nonzero power, and the Fraction-scan flatness oracle compares
 num_k with f(0)*den_k as `Fraction`s, where the library scans the
@@ -65,6 +70,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import mpmath as mp
@@ -334,6 +340,78 @@ def sigma_substituted_delay_block(m, n):
     if any(not p.is_zero for p in num[n + m :]):
         raise ArithmeticError("delay numerator exceeds degree n+m-1")
     return _primitive_block(m, n, rows, [p * scale for p in den[1:]])
+
+
+def _int_list_add(a, b):
+    """a + b for ascending integer lists, a new list, trailing zeros kept."""
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _int_list_product(a, b):
+    """a * b for ascending integer lists, schoolbook into a new list."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+def term_by_term_delay_block(m, n):
+    """The Budak delay block summed one term at a time over Z[gamma][u].
+
+    Each term 2 a_i b_j 4^(i+j) gamma^(2i) (gamma-1)^(2j), with a and b
+    the weights c(k, k-j)/k! of B_n and B_m and (gamma-1)^k built by
+    repeated products, is its own list; it is added to its row as a new
+    list, and enters the numerator times 1, gamma or 1 - gamma as a new
+    product, where the library adds every term in place into preallocated
+    rows. No check point is taken: this is the algebra alone.
+    """
+    f = math.factorial
+
+    def weights(k):
+        return [math.comb(k, i) * f(2 * i) * f(k + i) // (f(i) * f(k)) for i in range(k, -1, -1)]
+
+    a, b = weights(n), weights(m)
+    powers = [[1]]  # (gamma - 1)^k, ascending in gamma
+    for _ in range(2 * m):
+        powers.append(_int_list_product(powers[-1], [-1, 1]))
+    num = [[] for _ in range(n + m)]
+    den = [[] for _ in range(n + m + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            term = [0] * (2 * i) + [2 * x * y * 4 ** (i + j) * c for c in powers[2 * j]]
+            den[i + j] = _int_list_add(den[i + j], term)
+            if i < n and j < m:
+                num[i + j] = _int_list_add(num[i + j], term)
+            elif i < n:  # times gamma
+                num[i + j] = _int_list_add(num[i + j], [0, *term])
+            elif j < m:  # times 1 - gamma
+                num[i + j] = _int_list_add(num[i + j], _int_list_product(term, [1, -1]))
+    const = den[0][0]
+    divisor = math.gcd(const, *[c for row in (*num[1:], *den[1:]) for c in row])
+    return DelayCoefficientPolys(
+        m,
+        n,
+        tuple([Polynomial([c // divisor for c in row]) for row in num[1:]]),
+        tuple([Polynomial([c // divisor for c in row]) for row in den[1:]]),
+        Fraction(const // divisor),
+    )
+
+
+def polynomial_horner_interpolate(points):
+    """Newton's divided differences over Fraction, expanded in Horner form
+    with two new `Polynomial`s a step, where the library expands on one
+    coefficient list and builds one `Polynomial` at the end."""
+    xs = [Fraction(x) for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    n = len(xs)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = Polynomial([coef[-1]])
+    for k in range(n - 2, -1, -1):
+        poly = poly * Polynomial([-xs[k], 1]) + Polynomial([coef[k]])
+    return poly
 
 
 def sampled_magnitude_mismatch(n, m, j):

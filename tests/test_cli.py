@@ -1,6 +1,9 @@
 """End-to-end command-line tests via main(argv)."""
 
+import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import sys
@@ -13,6 +16,7 @@ import _oracles
 from besselpade import cli
 from besselpade.cli import build_parser, main, source_tf, sweep_rows, tf_from_provenance
 from besselpade.core import Polynomial, TransferFunction
+from besselpade.gbp import gbp_of
 from besselpade.response import group_delay, magnitude_squared, sample
 
 
@@ -264,6 +268,40 @@ def test_zero_denominator_arguments_are_usage_errors(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert f"argument {name}: invalid Fraction value" in capsys.readouterr().err
+
+
+def _argparse_reads_as_a_flag(token):
+    """Whether this Python's argparse takes `token`, after an option that
+    needs a value, for an option of its own. The argparse of Python 3.11
+    does so for a negative p/q; a newer one may read it as the value, so
+    the test asks argparse itself."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--x")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args(["--x", token])
+    except (argparse.ArgumentError, SystemExit):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("alpha, beta", [("1", "-1/2"), ("-3/4", "2"), ("-3/4", "-1/2")])
+def test_negative_rational_arguments(capsys, alpha, beta):
+    want = str(gbp_of(3, F(alpha), F(beta)))
+    # the `=` form always reads a negative p/q as the option's value
+    code, out, _ = run(capsys, ["gbp", "--n", "3", f"--alpha={alpha}", f"--beta={beta}"])
+    assert code == 0
+    assert out.strip() == want
+    # the space form: where argparse takes -p/q for an option, a usage error
+    argv = ["gbp", "--n", "3", "--alpha", alpha, "--beta", beta]
+    if not any(map(_argparse_reads_as_a_flag, (alpha, beta))):
+        assert run(capsys, argv)[:2] == (0, want + "\n")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "expected one argument" in err and "Traceback" not in err
 
 
 def test_budak_order2_plain(capsys, monkeypatch):

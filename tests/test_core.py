@@ -316,6 +316,25 @@ def test_interpolate_recovers_random_polynomials():
         assert interpolate(pts) == p
 
 
+def test_interpolate_matches_the_polynomial_per_step_assembly():
+    rng = random.Random(20261019)
+    cases = [
+        [(F(3, 7), F(-2, 5))],  # a single point
+        [(-1, 2), (-2, 0), (-3, F(1, 3)), (-F(1, 2), -7)],  # negative abscissae
+        [(F(k, 3) - 1, F(k * k - 5, k + 2)) for k in range(9)],  # rational abscissae
+        [(0, "1/2"), ("-3/4", 5), (F(2), "-7"), ("11", F(-1, 9))],  # mixed int, str, Fraction
+        [(x, 0) for x in (-2, F(1, 5), 4)],  # the zero polynomial
+    ]
+    for _ in range(10):
+        xs = rng.sample(sorted({F(p, q) for p in range(-12, 13) for q in (1, 2, 3, 7)}), rng.randint(1, 9))
+        cases.append([(x, F(rng.randint(-99, 99), rng.randint(1, 20))) for x in xs])
+    for points in cases:
+        got, want = interpolate(points), _oracles.polynomial_horner_interpolate(points)
+        assert got == want, points
+        assert repr(got) == repr(want), points
+        assert all(got(F(x)) == F(y) for x, y in points), points
+
+
 def test_int_nth_root():
     assert int_nth_root(0, 3) == 0
     assert int_nth_root(26, 3) == 2

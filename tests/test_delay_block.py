@@ -1,4 +1,5 @@
-"""The Budak delay block against its interpolation oracle, and its check points."""
+"""The Budak delay block against its term-by-term and interpolation
+oracles, and its check points."""
 
 from fractions import Fraction as F
 
@@ -7,6 +8,15 @@ import pytest
 import _oracles
 from besselpade import budak
 from besselpade.budak import BudakParams, delay_gamma_polynomials
+
+
+def test_delay_block_matches_term_by_term_oracle():
+    # every pair compare and the order-2 certificate run on, up to (16, 15)
+    for n in range(1, 17):
+        for m in range(1, n + 1):
+            block, want = delay_gamma_polynomials(m, n), _oracles.term_by_term_delay_block(m, n)
+            assert block == want, (m, n)
+            assert repr(block) == repr(want), (m, n)
 
 
 def test_delay_block_matches_interpolation_oracle():

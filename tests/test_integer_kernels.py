@@ -13,9 +13,11 @@ equal coefficient by coefficient, the stability report equal field by
 field and in its repr.
 
 The analyze path is integer-first too: `pade_exp` and `gbp` build their
-coefficients over the integers or by one exact step per term;
-`group_delay` and `magnitude_squared` read one split of L*P(j*omega) over
-the integers, kept on each polynomial with |L*P(j*omega)|^2, and the
+coefficients over the integers, `gbp` as prefix and suffix products of
+its term ratios over one denominator; `group_delay` and
+`magnitude_squared` read one split of L*P(j*omega) over the integers,
+kept on each polynomial with |L*P(j*omega)|^2 = e^2 + u*o^2, whose two
+squares form each cross product once, and the
 delay forms its phase-slope numerators as the two products e*O - o*E; the
 exact points of `sample` are one homogeneous Horner sum over the integers
 at omega = p/q. Each must give exactly what the Fraction routes of
@@ -315,6 +317,38 @@ def test_random_transfer_functions_match_the_fraction_analysis():
         assert_analysis_matches(tf)
         checked += 1
     assert checked > 40
+
+
+def test_squared_splits_of_sparse_one_term_and_huge_polynomials():
+    # |P(j*omega)|^2 = e^2 + u*o^2 forms each cross product of e and o once;
+    # the analysis must equal the Fraction products whatever the shape
+    big = (1 << 201) + 12345
+    polys = [
+        Polynomial([7]),  # constants
+        Polynomial([F(-3, 4)]),
+        Polynomial([1, 0, 0, 0, 0, 0, 3]),  # even part only, interior zeros
+        Polynomial([0, 2, 0, 0, 0, -5]),  # odd part only
+        Polynomial([5, 0, 0, 2]),  # one term in each part
+        Polynomial([0, 0, 0, 0, 0, 0, 0, 1]),  # one term in all
+        Polynomial([9, 1, 0, 0, -2, 0, 0, 1]),  # sparse, mixed signs
+        Polynomial([F(1, 3), 0, 0, F(-2, 7), 0, 0, 0, 0, 4]),
+        Polynomial([big, 0, -big + 1, 3, 0, 0, big * big]),  # past 2^200
+        Polynomial([F(big, 3), F(-1, big), 0, big, 0, F(5, big)]),
+    ]
+    rng = random.Random(20261022)
+    for kind, degree in (("sparse", 9), ("huge", 6)):
+        polys += [random_polynomial(rng, kind, degree) for _ in range(3)]
+    polys = [p for p in polys if not p.is_zero]
+    checked = 0
+    for num in polys:
+        # both analyses need a denominator that does not vanish at s = 0
+        for den in [p for p in polys if p.coeff(0) != 0]:
+            tf = TransferFunction(num, den)
+            assert magnitude_squared(tf) == _oracles.fraction_magnitude_squared(tf), tf
+            if tf.numerator.coeff(0) != 0:
+                assert group_delay(tf) == _oracles.fraction_group_delay(tf), tf
+                checked += 1
+    assert checked > 60
 
 
 def test_exact_sample_points_keep_the_lcm_ratio():

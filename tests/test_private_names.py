@@ -1,16 +1,29 @@
-"""No test reaches a private besselpade name.
+"""No test reaches a private besselpade name, and the private names the
+package's modules import from each other never grow.
 
 Tests exercise the public API only, so internals stay free to change. The
 check walks every test module's AST: an import of a private module or
 name from besselpade, and an attribute or getattr/setattr of a private
 name on a name bound to a besselpade import, are reported. Test helpers
 in tests/_oracles.py are exempt.
+
+Inside the package, every `_`-name one module imports from a sibling
+module ties the two together. The pinned set below is the set as it
+stands; a new such import fails the check, and so does a removed one
+until it is dropped from the pin, so that it cannot come back.
 """
 
 import ast
 import pathlib
 
 TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "besselpade"
+
+# module -> the "sibling._name"s it imports; budak imports none
+SIBLING_PRIVATE_IMPORTS = {
+    "cli": {"response._sample_pairs"},
+    "response": {"core._convolve", "core._int_add"},
+}
 
 
 def private(name):
@@ -64,3 +77,26 @@ def test_no_test_imports_a_private_besselpade_name():
         for path, line, name in private_uses()
     ]
     assert bad == [], "\n".join(bad)
+
+
+def sibling_private_imports():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:  # from .sibling import ...
+                sibling = node.module or ""
+            elif (node.module or "").startswith("besselpade."):
+                sibling = node.module.split(".", 1)[1]
+            else:
+                continue
+            names = {f"{sibling}.{a.name}".lstrip(".") for a in node.names if private(a.name)}
+            if names:
+                found.setdefault(path.stem, set()).update(names)
+    return found
+
+
+def test_private_imports_between_package_modules_never_grow():
+    assert sibling_private_imports() == SIBLING_PRIVATE_IMPORTS

@@ -97,13 +97,20 @@ def _phase_slope(p: Polynomial) -> tuple[list[int], Sequence[int]]:
 
 def _delay_products(tf: TransferFunction) -> tuple[list[int], list[int]]:
     """The group delay psi_D - psi_N as the integer lists
-    A_D*B_N - A_N*B_D over B_D*B_N, with A_P/B_P = psi_P, not reduced."""
+    A_D*B_N - A_N*B_D over B_D*B_N, with A_P/B_P = psi_P, not reduced.
+    When one slope is zero (an even P) the other slope alone is returned:
+    the products would carry that side's B_P as a common factor, which
+    only a gcd over Q would take out again."""
     if tf.denominator.coeff(0) == 0:
         raise ValueError("phase undefined: pole at the origin")
     if tf.numerator.coeff(0) == 0:
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
+    if not any(nn):
+        return dn, list(dd)
+    if not any(dn):
+        return [-c for c in nn], list(nd)
     return _int_add(_convolve(dn, nd), _convolve(nn, dd), -1), _convolve(dd, nd)
 
 

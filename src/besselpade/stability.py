@@ -2,9 +2,10 @@
 
 The array is computed exactly, with no epsilon perturbation, in one pass
 of n + 1 rows. Each rational row R_i is held as integers T_i over one
-positive denominator d_i, R_i = T_i / d_i. The first two rows are the
-coefficients of p with its denominators cleared, over their lcm. The
-rational recurrence
+positive denominator d_i, R_i = T_i / d_i. The first two rows are sliced
+from p's stored integer numerators (every other one, from the top), over
+their lcm, and negated when the leading coefficient is negative, so that
+the array starts with a positive entry. The rational recurrence
 
     R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
 
@@ -13,6 +14,8 @@ d_{i+1} = d_{i-1} T_i[0], after which the gcd of d_{i+1} and the row is
 divided out and the sign of d_{i+1} moved into T_{i+1}. Every step is
 exact, so R_i[0] is exactly T_i[0] / d_i; only that column is built as
 Fractions, and since d_i > 0 its signs are those of the integers T_i[0].
+Each row's column entry and sign change are taken as the row is
+produced, so the pass keeps no list of rows or leading entries.
 Two degeneracies are rewritten in place, on the integers alone (a zero
 row takes the denominator of the row above, a zero pivot keeps its own),
 so every row keeps its full degree and a nonzero leading entry:
@@ -77,48 +80,58 @@ class StabilityReport:
     degenerate_rows: tuple[int, ...]
 
 
-def _routh_leading(p: Polynomial) -> tuple[list[tuple[int, int]], list[int], int | None]:
-    """The leading entries of all n+1 rows, every degenerate row replaced
-    in place.
-
-    Row i is held as integers T_i over one positive denominator d_i (see
-    the module docstring). Returns the pairs (T_i[0], d_i), the indices of
-    the zero rows, and the index of the first zero pivot (None when there
-    is none).
-    """
-    n = p.degree
+def routh_hurwitz(p: Polynomial) -> StabilityReport:
+    """Classify a polynomial of degree >= 1."""
+    nums = p._nums
+    n = len(nums) - 1
+    if n < 1:
+        raise ValueError("need a nonzero polynomial of degree at least 1")
     width = n // 2 + 1
-    degenerate: list[int] = []
-    first_pivot = None
-
     # entry j of the first two rows is the numerator of the coefficient
     # of s^(top - 2j), zero at negative powers, over p's denominator
-    above, row = (
-        [p._nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
-    )
+    above, row = list(nums[n::-2]), list(nums[n - 1 :: -2])
+    if len(row) < width:
+        row.append(0)
+    if nums[-1] < 0:
+        above, row = [-c for c in above], [-c for c in row]
     d_above = d_row = p._den
-    leading = [(above[0], p._den)]
+    column = [Fraction(above[0]) if d_above == 1 else Fraction(above[0], d_above)]
+    # the leading entry of the first row is positive, and d_i > 0, so the
+    # column entry T_i[0] / d_i has the sign of the integer T_i[0]
+    positive = True
+    changes = 0
+    degenerate: list[int] = []
+    first_pivot = None
     for i in range(1, n + 1):
-        if not any(row):
-            degenerate.append(i)
-            # derivative of the auxiliary polynomial of the row above:
-            # entry j sits at power (n - i) - 2j
-            row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
-            d_row = d_above
-        elif row[0] == 0:
-            if first_pivot is None:
-                first_pivot = i
-            # k leading zeros: multiply the row by 1 + (-s^2)^k
-            k = next(j for j, c in enumerate(row) if c)
-            sign = (-1) ** k
-            row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
-        leading.append((row[0], d_row))
+        pivot = row[0]
+        if pivot == 0:
+            if not any(row):
+                degenerate.append(i)
+                # derivative of the auxiliary polynomial of the row above:
+                # entry j sits at power (n - i) - 2j
+                row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
+                d_row = d_above
+            else:
+                if first_pivot is None:
+                    # the reported column ends at the zero entry
+                    first_pivot = i
+                    column.append(Fraction(0))
+                # k leading zeros: multiply the row by 1 + (-s^2)^k
+                k = next(j for j, c in enumerate(row) if c)
+                sign = (-1) ** k
+                row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+            pivot = row[0]
+        if (pivot > 0) != positive:
+            positive = not positive
+            changes += 1
+        if first_pivot is None:
+            column.append(Fraction(pivot) if d_row == 1 else Fraction(pivot, d_row))
         if i == n:
             break
         # R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
         # is nxt[j] / (d_{i-1} T_i[0]) for R_i = T_i / d_i
-        pivot, pivot_above = row[0], above[0]
-        nxt = [pivot * above[j + 1] - pivot_above * row[j + 1] for j in range(width - 1)]
+        pivot_above = above[0]
+        nxt = [pivot * a - pivot_above * b for a, b in zip(above[1:], row[1:])]
         nxt.append(0)
         d_nxt = d_above * pivot
         g = math.gcd(d_nxt, *nxt)
@@ -126,29 +139,7 @@ def _routh_leading(p: Polynomial) -> tuple[list[tuple[int, int]], list[int], int
             g = -g
         above, d_above = row, d_row
         row, d_row = [c // g for c in nxt], d_nxt // g
-    return leading, degenerate, first_pivot
-
-
-def _sign_changes(leading: Sequence[int]) -> int:
-    changes = 0
-    for a, b in zip(leading, leading[1:]):
-        if (a > 0) != (b > 0):
-            changes += 1
-    return changes
-
-
-def routh_hurwitz(p: Polynomial) -> StabilityReport:
-    """Classify a polynomial of degree >= 1."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a nonzero polynomial of degree at least 1")
-    if p._nums[-1] < 0:
-        p = -p
-    leading, degenerate, first_pivot = _routh_leading(p)
-    # d_i > 0, so T_i[0] has the sign of the column entry T_i[0] / d_i
-    changes = _sign_changes([t for t, _ in leading])
-    column = tuple([Fraction(t, d) for t, d in leading])
     if first_pivot is not None:
-        column = column[:first_pivot] + (Fraction(0),)
         degenerate = [first_pivot]
     if changes > 0:
         verdict = Verdict.NOT_HURWITZ
@@ -156,7 +147,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         verdict = Verdict.MARGINAL
     else:
         verdict = Verdict.STRICT_HURWITZ
-    return StabilityReport(verdict, column, changes, tuple(degenerate))
+    return StabilityReport(verdict, tuple(column), changes, tuple(degenerate))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,12 @@ coefficients, the list-arithmetic oracles add, scale, normalize,
 differentiate and substitute into the Fraction coefficient lists, where
 the library holds integer numerators over one denominator, and the rational Routh oracle runs the one-pass array with
 every row over Q, where the library clears denominators and runs both
-over the integers. The Fraction analysis oracles split P(j*omega) into
+over the integers. The leading-pairs Routh oracle runs the same integer
+array but collects every row's leading pair first and then counts the
+sign changes and builds the column from that list, on rows indexed out
+of p's numerators after negating p, where the library slices and
+negates the first two rows and forms the column and the sign changes as
+each row is produced. The Fraction analysis oracles split P(j*omega) into
 `Polynomial`s over Q and form the phase slope, group delay and squared
 magnitude as sums of `Polynomial`s, where the library splits L*P over
 the integers and works on integer lists. The exact sample point oracle
@@ -743,6 +748,72 @@ def rational_routh_hurwitz(p):
     rows, degenerate, first_pivot = _rational_routh_rows(p)
     column = tuple(r[0] for r in rows)
     changes = _sign_changes(column)
+    if first_pivot is not None:
+        column = column[:first_pivot] + (Fraction(0),)
+        degenerate = [first_pivot]
+    if changes > 0:
+        verdict = Verdict.NOT_HURWITZ
+    elif degenerate:
+        verdict = Verdict.MARGINAL
+    else:
+        verdict = Verdict.STRICT_HURWITZ
+    return StabilityReport(verdict, column, changes, tuple(degenerate))
+
+
+def _integer_routh_leading(p):
+    """The leading entries of all n+1 rows over the integers, every
+    degenerate row replaced in place: row i is T_i over d_i > 0, entry j
+    of the first two rows the numerator of the coefficient of s^(top - 2j)
+    over p's denominator, indexed from two row builds.
+
+    Returns the pairs (T_i[0], d_i), the indices of the zero rows, and the
+    index of the first zero pivot (None when there is none).
+    """
+    n = p.degree
+    width = n // 2 + 1
+    degenerate = []
+    first_pivot = None
+    above, row = (
+        [p._nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
+    )
+    d_above = d_row = p._den
+    leading = [(above[0], p._den)]
+    for i in range(1, n + 1):
+        if not any(row):
+            degenerate.append(i)
+            row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
+            d_row = d_above
+        elif row[0] == 0:
+            if first_pivot is None:
+                first_pivot = i
+            k = next(j for j, c in enumerate(row) if c)
+            sign = (-1) ** k
+            row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+        leading.append((row[0], d_row))
+        if i == n:
+            break
+        pivot, pivot_above = row[0], above[0]
+        nxt = [pivot * above[j + 1] - pivot_above * row[j + 1] for j in range(width - 1)]
+        nxt.append(0)
+        d_nxt = d_above * pivot
+        g = math.gcd(d_nxt, *nxt)
+        if d_nxt < 0:
+            g = -g
+        above, d_above = row, d_row
+        row, d_row = [c // g for c in nxt], d_nxt // g
+    return leading, degenerate, first_pivot
+
+
+def leading_pairs_routh_hurwitz(p):
+    """The integer Routh classification in two passes: every row's leading
+    pair first, then the sign changes and the column from that list."""
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a nonzero polynomial of degree at least 1")
+    if p._nums[-1] < 0:
+        p = -p
+    leading, degenerate, first_pivot = _integer_routh_leading(p)
+    changes = _sign_changes([t for t, _ in leading])
+    column = tuple([Fraction(t, d) for t, d in leading])
     if first_pivot is not None:
         column = column[:first_pivot] + (Fraction(0),)
         degenerate = [first_pivot]

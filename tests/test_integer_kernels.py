@@ -10,7 +10,8 @@ hash equal however they were built.
 `routh_hurwitz` runs its rows as integers over one denominator. Both must
 give exactly what the plain computation over Fraction gives: the product
 equal coefficient by coefficient, the stability report equal field by
-field and in its repr.
+field and in its repr, also to the integer array that collects every
+row's leading pair before it counts sign changes.
 
 The analyze path is integer-first too: `pade_exp` and `gbp` build their
 coefficients over the integers, `gbp` as prefix and suffix products of
@@ -37,10 +38,14 @@ import _oracles
 from besselpade import (
     BudakParams,
     EvenRationalFunction,
+    FlatBeyondHorizon,
     PadeIndex,
+    Quantity,
     TransferFunction,
     budak_tf,
     classical_bessel,
+    delay_flatness,
+    flatness,
     gbp_of,
     group_delay,
     magnitude_squared,
@@ -231,6 +236,43 @@ def test_routh_matches_rational_array_on_sparse_rational_polynomials():
         _assert_same_report(p)
 
 
+def test_routh_matches_the_leading_pairs_and_rational_arrays():
+    # routh_hurwitz slices and negates its first rows and forms the column
+    # and the sign changes row by row; the report must equal, in == and
+    # repr, both the two-pass integer array and the array over Q
+    rng = random.Random(20261023)
+    polys = [Polynomial([1, 1]), Polynomial([-3, -2]), Polynomial([F(1, 2), F(-2, 3)])]
+    polys += [Polynomial([2, 0, -1]), Polynomial([0, 0, F(-5, 3)]), Polynomial([4, 0, 1])]
+    for _ in range(600):
+        # products of rational factors: zero rows from axis roots
+        p = Polynomial([F(rng.choice([1, 2, 3, -1, -2]), rng.randint(1, 5))])
+        while p.degree < rng.randint(1, 8):
+            p = p * _factor(rng)
+        polys.append(p)
+        # sparse and rational: zero pivots, any sign of the leading term
+        p = random_polynomial(rng, rng.choice(("sparse", "rational")), 10)
+        if p.degree >= 1:
+            polys.append(p)
+    polys += [classical_bessel(n) for n in range(29, 54)]
+    polys += [pade_denominator(PadeIndex(n, m)) for n in range(1, 25) for m in {0, n // 2, n - 1, n}]
+    polys += [-p for p in polys[-30:]]
+    kinds = ("negative", "degree 1", "degree 2", "zero row", "zero pivot", "rational entry")
+    seen = dict.fromkeys(kinds, 0)
+    for p in polys:
+        got = routh_hurwitz(p)
+        for want in (_oracles.leading_pairs_routh_hurwitz(p), _oracles.rational_routh_hurwitz(p)):
+            assert got == want, p
+            assert repr(got) == repr(want), p
+        column = got.routh_first_column
+        seen["negative"] += p.leading < 0
+        seen["degree 1"] += p.degree == 1
+        seen["degree 2"] += p.degree == 2
+        seen["zero pivot"] += len(column) < p.degree + 1
+        seen["zero row"] += len(column) == p.degree + 1 and bool(got.degenerate_rows)
+        seen["rational entry"] += any(c.denominator != 1 for c in column)
+    assert min(seen.values()) >= 10, seen
+
+
 # The rational Budak shape parameters of the benchmark: small
 # denominators, 1/2 < g < 3, g != 1.
 G_VALUES = sorted(
@@ -336,8 +378,8 @@ def test_squared_splits_of_sparse_one_term_and_huge_polynomials():
         Polynomial([F(big, 3), F(-1, big), 0, big, 0, F(5, big)]),
     ]
     rng = random.Random(20261022)
-    for kind, degree in (("sparse", 9), ("huge", 6)):
-        polys += [random_polynomial(rng, kind, degree) for _ in range(3)]
+    for kind in ("sparse", "huge"):
+        polys += [random_polynomial(rng, kind, 9) for _ in range(3)]
     polys = [p for p in polys if not p.is_zero]
     checked = 0
     for num in polys:
@@ -346,7 +388,17 @@ def test_squared_splits_of_sparse_one_term_and_huge_polynomials():
             tf = TransferFunction(num, den)
             assert magnitude_squared(tf) == _oracles.fraction_magnitude_squared(tf), tf
             if tf.numerator.coeff(0) != 0:
-                assert group_delay(tf) == _oracles.fraction_group_delay(tf), tf
+                want = _oracles.fraction_group_delay(tf)
+                assert group_delay(tf) == want, tf
+                # an even side has phase slope 0, and the delay is the
+                # other side's slope alone; its flatness must not move
+                try:
+                    got = delay_flatness(tf)
+                except FlatBeyondHorizon:
+                    with pytest.raises(FlatBeyondHorizon):
+                        flatness(want)
+                else:
+                    assert got == flatness(want, quantity=Quantity.DELAY), tf
                 checked += 1
     assert checked > 60
 

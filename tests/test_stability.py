@@ -12,6 +12,7 @@ import mpmath as mp
 import pytest
 
 from besselpade.core import Polynomial, poly_scale_substitute
+from besselpade.gbp import gbp_of
 from besselpade.pade import PadeIndex
 from besselpade.stability import (
     Theorem1Report,
@@ -198,6 +199,22 @@ def test_grid_boundary_point_is_marginal_not_violation():
     report = theorem1_grid(1, [0], [1, 2])
     assert report.ok
     assert report.checked == 2
+
+
+@pytest.mark.parametrize("beta", [F(1), F(2), F(3, 2)])
+def test_reversed_gbp_column_is_the_thomson_continued_fraction(beta):
+    # s^n B_n(1/s; 2, beta) has Routh column ratios c_{i-1}/c_i of exactly
+    # 2(2i-1)/beta (Thomson, 1949): an O(n) check of the array at the
+    # paper's degrees, where the forward array of B_n takes seconds
+    for n in [*range(1, 41), 86, 120, 200]:
+        reversed_gbp = Polynomial(reversed(gbp_of(n, 2, beta).coefficients))
+        report = routh_hurwitz(reversed_gbp)
+        column = report.routh_first_column
+        assert report.verdict is Verdict.STRICT_HURWITZ, (n, beta)
+        assert report.sign_changes == 0 and report.degenerate_rows == ()
+        assert len(column) == n + 1
+        ratios = [column[i - 1] / column[i] for i in range(1, n + 1)]
+        assert ratios == [2 * (2 * i - 1) / beta for i in range(1, n + 1)], (n, beta)
 
 
 def test_delay_approximant_stability():

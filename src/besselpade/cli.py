@@ -5,13 +5,12 @@ plain text by default and JSON with --json; all rationals cross the
 boundary as exact "p/q" strings. Decimals appear only in CSV sweeps and
 surd renderings, whose digit count comes from BESSELPADE_PRECISION
 (default 12). Exit codes: 0 success, 2 usage error, 1 computational
-error.
+error or a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -31,9 +30,9 @@ from .response import (
     FlatBeyondHorizon,
     FlatnessReport,
     Quantity,
-    _sample_pairs,
     delay_flatness,
     flatness,
+    frequency_rows,
     group_delay,
     magnitude_squared,
 )
@@ -394,66 +393,9 @@ def _write_atomic(path: str, text: str) -> None:
 def sweep_rows(
     tf: TransferFunction, omega_max: float, points: int
 ) -> list[tuple[float, float, float, float, bool]]:
-    """(omega, magnitude, phase, delay, pole_adjacent) at each grid point.
-
-    `response.sample` of H(j*omega) gives magnitude and phase, and of the
-    exact group delay the delay; the rows read its (value, pole_adjacent)
-    pairs directly. A row next to a pole of H is flagged and carries inf
-    throughout; the delay alone is inf where the group delay's own
-    denominator flags. Where the double H is real at omega != 0 while H
-    is not, its imaginary part underflowed, and the phase comes from the
-    exact value (`_exact_phase`).
-
-    A factor s^k of N or D adds only the constant phase k*pi/2 or
-    -k*pi/2, so the delay is that of N over D with the k lowest, zero,
-    coefficients of either dropped. A pole at s = 0 flags the omega = 0
-    row; a zero there leaves that row magnitude 0.0 and the finite delay
-    of the reduced function.
-    """
-    omegas = [omega_max * i / (points - 1) for i in range(points)]
-    h_pairs = _sample_pairs(tf, omegas)
-    num, den = tf.numerator, tf.denominator
-    zeros, poles = num.lowest_nonzero_power(), den.lowest_nonzero_power()
-    reduced = tf
-    if zeros or poles:
-        reduced = TransferFunction(
-            Polynomial(num.coefficients[zeros:]), Polynomial(den.coefficients[poles:])
-        )
-    delay_pairs = _sample_pairs(group_delay(reduced), omegas)
-    rows = []
-    for w, (h, flagged), (delay, _) in zip(omegas, h_pairs, delay_pairs):
-        if flagged:
-            rows.append((w, math.inf, math.inf, math.inf, True))
-        elif h.imag or not w:
-            rows.append((w, abs(h), cmath.phase(h), delay, False))
-        else:  # H is real, or its imaginary part underflowed
-            rows.append((w, abs(h), _exact_phase(tf, w, h), delay, False))
-    return rows
-
-
-def _exact_phase(tf: TransferFunction, w: float, h: complex) -> float:
-    """arg H(j*w) from the exact N(j*w)*conj(D(j*w)) = re + j*im, or the
-    phase of the double h where im = 0.
-
-    With P(j*w) = E(-w^2) + j*w*O(-w^2) for the even and odd parts of P,
-    re and im are rationals; over one positive denominator they are a
-    Gaussian integer a + j*b with the same argument. Both parts are
-    scaled by one power of two, so the larger has at most 1000 bits, and
-    rounded once each before `atan2`: the argument keeps full relative
-    precision however far the double quotient N/D underflows.
-    """
-    x = Fraction(w)
-    v = -x * x
-    num, den = tf.numerator, tf.denominator
-    en, on = num.even_part()(v), num.odd_part()(v)
-    ed, od = den.even_part()(v), den.odd_part()(v)
-    im = x * (on * ed - en * od)
-    if not im:
-        return cmath.phase(h)
-    re = en * ed - v * on * od
-    a, b = re.numerator * im.denominator, im.numerator * re.denominator
-    scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)
-    return math.atan2(b / scale, a / scale)
+    """The rows `sweep` prints: `response.frequency_rows` at the `points`
+    grid frequencies omega_max*i/(points-1), i = 0..points-1."""
+    return frequency_rows(tf, [omega_max * i / (points - 1) for i in range(points)])
 
 
 def _cmd_sweep(args, precision: int) -> int:
@@ -466,10 +408,7 @@ def _cmd_sweep(args, precision: int) -> int:
     tf, _ = source_tf(args.source)
     lines = ["omega,magnitude,phase_rad,group_delay"]
     for w, mag, phase, delay, flagged in sweep_rows(tf, args.omega_max, args.points):
-        line = f"{w!r},{mag!r},{phase!r},{delay!r}"
-        if flagged:
-            line += ",pole-adjacent"
-        lines.append(line)
+        lines.append(f"{w!r},{mag!r},{phase!r},{delay!r}" + (",pole-adjacent" if flagged else ""))
     text = "\n".join(lines) + "\n"
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -683,7 +622,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         precision = _precision_from_env()
-        return args.func(args, precision)
+        code = args.func(args, precision)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone: the rest goes to os.devnull, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Frequency-domain analysis in the variable u = omega^2.
+"""Frequency-domain analysis: exact in u = omega^2, sampled on the axis.
 
 Each polynomial is split once, over the integers, and the split is kept
 on the polynomial (`Polynomial._jw_split`). With L > 0 the lcm of the
@@ -26,10 +26,16 @@ times L_D^2 / L_N^2, read it. Products run on integer lists through
 put in canonical form. Both quantities are exact even rational
 functions; flatness orders fall out of their Maclaurin expansions at the
 origin, which the delay's products give before any reduction.
+
+On the axis, `sample` evaluates in doubles where they are accurate and
+over the Gaussian integers elsewhere; `frequency_rows` makes its pairs
+sweep rows, taking the phase from the exact N*conj(D) where H's double
+has lost it.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 import math
@@ -262,6 +268,52 @@ def _sample_pairs(
     return out
 
 
+def frequency_rows(
+    tf: TransferFunction, omegas: Sequence[float]
+) -> list[tuple[float, float, float, float, bool]]:
+    """(omega, magnitude, phase, delay, pole_adjacent) at each double omega,
+    from the (value, pole_adjacent) pairs of `sample` for H and for the
+    exact group delay. A row next to a pole of H is flagged and carries inf
+    throughout; the delay alone is inf where the delay's own denominator
+    flags.
+
+    The phase is that of the double H but where, at omega != 0, H is real
+    (Im H may have underflowed) or not finite (|H| overflowed). There it
+    is the argument of the exact N*conj(D) from `_times_conjugate`, if
+    that is not real: its two parts are scaled by one power of two, the
+    larger to at most 1000 bits, and rounded once each before `atan2`, so
+    the phase keeps full relative precision however far H under- or
+    overflows. The positive scales of N and D leave the argument unmoved.
+
+    A factor s^k of N or D adds only the constant phase k*pi/2 or
+    -k*pi/2, so the delay is that of N over D with the k lowest, zero,
+    coefficients of either dropped. A pole at s = 0 flags the omega = 0
+    row; a zero there leaves that row magnitude 0.0 and the finite delay
+    of the reduced function.
+    """
+    num, den = tf.numerator, tf.denominator
+    zeros, poles = num.lowest_nonzero_power(), den.lowest_nonzero_power()
+    reduced = tf
+    if zeros or poles:
+        reduced = TransferFunction(
+            Polynomial._from_ints(list(num._nums[zeros:]), num._den),
+            Polynomial._from_ints(list(den._nums[poles:]), den._den),
+        )
+    delay_pairs = _sample_pairs(group_delay(reduced), omegas)
+    rows = []
+    for w, (h, flagged), (delay, _) in zip(omegas, _sample_pairs(tf, omegas), delay_pairs):
+        if flagged:
+            rows.append((w, math.inf, math.inf, math.inf, True))
+            continue
+        mag, phase = abs(h), cmath.phase(h)
+        if w and not (h.imag and mag < math.inf):
+            a, b, _ = _times_conjugate(num._nums, den._nums, *w.as_integer_ratio())
+            scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)
+            phase = math.atan2(b / scale, a / scale) if b else phase
+        rows.append((w, mag, phase, delay, False))
+    return rows
+
+
 def _horner_gate(p: Polynomial) -> list[float]:
     """The ascending coefficients of 2^27 * (deg p + 1) * eps * sum |p_k| t^k,
     a polynomial in t = |x|, each rounded once: a double Horner value of p
@@ -305,26 +357,29 @@ def _exact_sampler(
 
     def transfer_point(w: float) -> _Pair:
         p, q = w.as_integer_ratio()
-        dr, di = _horner(den, 0, p, q)
+        re, im, norm = _times_conjugate(num, den, p, q)
         sr, si = _horner(slope, 0, p, q)
-        norm = dr * dr + di * di
         if norm << 100 <= p * p * (sr * sr + si * si):
             return math.inf, True
-        nr, ni = _horner(num, 0, p, q)
-        re = _quotient(ld * (nr * dr + ni * di), ln * norm)
-        im = _quotient(ld * (ni * dr - nr * di), ln * norm)
-        return complex(re, im), False
+        return complex(_quotient(ld * re, ln * norm), _quotient(ld * im, ln * norm)), False
 
     return transfer_point
 
 
-def _horner(c: list[int], ar: int, ai: int, b: int) -> tuple[int, int]:
+def _horner(c: Sequence[int], ar: int, ai: int, b: int) -> tuple[int, int]:
     """b^n * c((ar + j*ai)/b) as the Gaussian integer (re, im), n = len(c) - 1."""
     re, im, scale = 0, 0, 1
     for c_k in reversed(c):
         re, im = re * ar - im * ai + c_k * scale, re * ai + im * ar
         scale *= b
     return re, im
+
+
+def _times_conjugate(num: Sequence[int], den: Sequence[int], p: int, q: int) -> tuple[int, ...]:
+    """re, im of N*conj(D) and |D|^2 at j*p/q times q^(n+m), q^(2m); num, den hold n+1, m+1 ints."""
+    nr, ni = _horner(num, 0, p, q)
+    dr, di = _horner(den, 0, p, q)
+    return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
 
 
 def _quotient(n: int, d: int) -> float:

@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -671,6 +674,52 @@ def test_sweep_phase_where_the_imaginary_part_underflows(capsys):
         got = sweep_rows(real, omega_max, 9)
         assert repr(got) == repr(_oracles.sample_sweep_rows(real, omega_max, 9))
 
+
+
+def test_sweep_phase_where_the_magnitude_overflows(capsys):
+    # |H| of pade:2,14 and pade:0,12 leaves the double range below
+    # omega = 1e31, and the double H is inf + inf*j, whose phase would
+    # read pi/4; the phase comes from the exact N*conj(D)
+    for spec in ("pade:2,14", "pade:0,12"):
+        tf, _ = source_tf(spec)
+        code, out, err = run(
+            capsys, ["sweep", "--source", spec, "--omega-max", "3e31", "--points", "4"]
+        )
+        assert code == 0, err
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 4 and rows[0][0] == 0.0
+        for w, mag, phase, _ in rows[1:]:
+            assert mag == math.inf, (spec, w)
+            with mp.workdps(60):
+                ref = mp.arg(_oracles.transfer_value(tf, w))
+                assert abs((phase - ref) / ref) < 1e-12, (spec, w)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # as in `besselpade sweep ... | head`: the reader closes the pipe
+    # before the command writes. Block-buffered, as stdout into a pipe is
+    # by default, the output fails at the flush; unbuffered, at a write.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env["PYTHONUNBUFFERED"] = unbuffered  # empty counts as unset
+    for argv in (
+        ["analyze", "--source", "pade:3,2", "--json"],
+        ["sweep", "--source", "bessel:3", "--omega-max", "2", "--points", "5"],
+        ["compare", "--n", "3", "--m", "2"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "besselpade.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, (argv, err)
+        assert err == "", (argv, err)
 
 def axis_root_files(tmp_path):
     """file: specs of H with poles or zeros on the imaginary axis, whose

@@ -21,7 +21,6 @@ PACKAGE = TESTS.parent / "src" / "besselpade"
 
 # module -> the "sibling._name"s it imports; budak imports none
 SIBLING_PRIVATE_IMPORTS = {
-    "cli": {"response._sample_pairs"},
     "response": {"core._convolve", "core._int_add"},
 }
 

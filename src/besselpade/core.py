@@ -81,8 +81,8 @@ class Polynomial:
     the coefficients' denominators, so the pair is unique. The numerators
     ascend in degree with no trailing zeros; the zero polynomial holds an
     empty tuple over 1 and reports degree -1. Three cache slots are filled
-    on first use: `coefficients`, the float lowering, and the split on
-    the imaginary axis.
+    on first use: `coefficients`, the float lowering (highest first, for
+    Horner), and the split on the imaginary axis.
     """
 
     __slots__ = ("_nums", "_den", "_fractions", "_lowered", "_split")
@@ -221,27 +221,28 @@ class Polynomial:
 
         A Fraction or int x is evaluated exactly. A float or complex x runs
         over the coefficients converted to float once per polynomial, each
-        by one int / int true division (to complex for a complex x). Each
-        step is then the operation that mixing a Fraction with x performs,
-        since that division and float(c) both round c once, so the result
-        is the same to the bit. A coefficient beyond the float range raises
-        OverflowError.
+        by one int / int true division (to complex for a complex x), and
+        stored highest first in the `_lowered` slot, which the loop reads
+        directly. Each step is then the operation that mixing a Fraction
+        with x performs, since that division and float(c) both round c
+        once, so the result is the same to the bit. A coefficient beyond the
+        float range raises OverflowError.
         """
         if isinstance(x, complex):
-            result, coeffs = 0j, self._float_coefficients()[1]
+            result, coeffs = 0j, (self._lowered or self._lower())[1]
         elif isinstance(x, float):
-            result, coeffs = 0.0, self._float_coefficients()[0]
+            result, coeffs = 0.0, (self._lowered or self._lower())[0]
         else:
-            result, coeffs = _ZERO, self.coefficients
-        for c in reversed(coeffs):
+            result, coeffs = _ZERO, reversed(self.coefficients)
+        for c in coeffs:
             result = result * x + c
         return result
 
-    def _float_coefficients(self) -> tuple[tuple[float, ...], tuple[complex, ...]]:
-        """The coefficients as floats and as complex numbers, made once."""
-        if self._lowered is None:
-            floats = tuple([c / self._den for c in self._nums])
-            self._lowered = (floats, tuple([complex(c) for c in floats]))
+    def _lower(self) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+        """Fill `_lowered`: the coefficients, highest first, as floats and
+        as complex numbers."""
+        floats = tuple([c / self._den for c in reversed(self._nums)])
+        self._lowered = (floats, tuple([complex(c) for c in floats]))
         return self._lowered
 
     def _jw_split(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

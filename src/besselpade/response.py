@@ -48,6 +48,10 @@ from .core import EvenRationalFunction, Polynomial, TransferFunction, _convolve,
 # (value, pole_adjacent) of one sample point
 _Pair = tuple[Union[float, complex], bool]
 
+# consecutive points of `_sample_pairs` that share one bound from the
+# Horner error gates, evaluated at their largest |x|
+_GATE_BLOCK = 32
+
 
 class Quantity(enum.Enum):
     DELAY = "Delay"
@@ -219,10 +223,17 @@ def sample(
     (deg P + 1) * eps * sum |p_k| |x|^k (Higham, Accuracy and Stability of
     Numerical Algorithms, section 5.1), so that both carry about eight
     correct digits; there it is the same to the bit as Horner over the
-    Fraction coefficients. The two bounds run in one loop over their
-    coefficients, each the exact product rounded once to a double. A
-    value that overflows has abs inf, above any finite bound, so only the
-    finite condition keeps it off the fast path.
+    Fraction coefficients. The bounds are polynomials in t = |x| with
+    coefficients >= 0, each the exact product rounded once to a double,
+    and are evaluated by double Horner once per block of consecutive
+    points, at the block's largest t. Rounding is monotone and every step
+    g*t + c has t, c >= 0, so that value is at least each point's own; a
+    point whose N and D exceed it (and are finite) passes its own test,
+    and only a point that fails it, a NaN or inf bound included, runs its
+    own bounds and is decided by them. A value that overflows has abs
+    inf, above any finite bound, so only the finite condition keeps it
+    off the fast path; so does a complex value whose parts are finite
+    but whose modulus is beyond the double range.
 
     Every other point, and every point when a coefficient lies beyond the
     double range, is exact over the integers and rounded once
@@ -252,19 +263,31 @@ def _sample_pairs(
     num_gate, den_gate = _horner_gate(num), _horner_gate(den)
     pad = len(den_gate) - len(num_gate)  # leading zeros leave Horner unchanged
     gates = list(zip(reversed(num_gate + [0.0] * pad), reversed(den_gate + [0.0] * -pad)))
-    out = []
-    for w in ws:
-        x = 1j * w if transfer else w * w
-        t = abs(x)
+
+    def gate(t: float) -> tuple[float, float]:
         gn = gd = 0.0
         for cn, cd in gates:
             gn = gn * t + cn
             gd = gd * t + cd
-        n, d = num(x), den(x)
-        if gd < abs(d) < math.inf and gn < abs(n) < math.inf:
-            out.append((n / d, False))
-        else:
-            out.append(exact_point(w))
+        return gn, gd
+
+    inf = math.inf
+    out = []
+    for start in range(0, len(ws), _GATE_BLOCK):
+        block = ws[start : start + _GATE_BLOCK]
+        xs = [1j * w for w in block] if transfer else [w * w for w in block]
+        bn, bd = gate(max(map(abs, xs)))  # at least each point's own gate
+        for w, x in zip(block, xs):
+            n, d = num(x), den(x)
+            try:
+                an, ad = abs(n), abs(d)
+            except OverflowError:  # finite parts, modulus beyond the double range
+                an = ad = inf
+            fast = bd < ad < inf and bn < an < inf
+            if not fast:  # the point's own gate decides, as the bound could not
+                gn, gd = gate(abs(x))
+                fast = gd < ad < inf and gn < an < inf
+            out.append((n / d, False) if fast else exact_point(w))
     return out
 
 
@@ -277,8 +300,10 @@ def frequency_rows(
     throughout; the delay alone is inf where the delay's own denominator
     flags.
 
-    The phase is that of the double H but where, at omega != 0, H is real
-    (Im H may have underflowed) or not finite (|H| overflowed). There it
+    The magnitude is abs of the double H, inf where that overflows though
+    both parts are finite. The phase is that of the double H but where,
+    at omega != 0, H is real (Im H may have underflowed) or |H| is not
+    finite (a part of H, or only its modulus, overflowed). There it
     is the argument of the exact N*conj(D) from `_times_conjugate`, if
     that is not real: its two parts are scaled by one power of two, the
     larger to at most 1000 bits, and rounded once each before `atan2`, so
@@ -305,7 +330,11 @@ def frequency_rows(
         if flagged:
             rows.append((w, math.inf, math.inf, math.inf, True))
             continue
-        mag, phase = abs(h), cmath.phase(h)
+        try:
+            mag = abs(h)
+        except OverflowError:  # finite parts, modulus beyond the double range
+            mag = math.inf
+        phase = cmath.phase(h)
         if w and not (h.imag and mag < math.inf):
             a, b, _ = _times_conjugate(num._nums, den._nums, *w.as_integer_ratio())
             scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)

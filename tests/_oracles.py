@@ -890,9 +890,10 @@ def fraction_sample_point(f, omega):
 def four_call_sample(f, omegas):
     """`sample` with four `Polynomial` calls a point: N(x), D(x) and their
     Horner error gates 2^27 (deg P + 1) eps sum |p_k| t^k, polynomials in
-    t = |x|. A point whose N and D are finite and exceed their gates is the
-    double quotient; every other point, and every point of a function
-    with a coefficient beyond the double range, is `fraction_sample_point`."""
+    t = |x|. A point whose N and D are finite, with finite moduli, and
+    exceed their gates is the double quotient; every other point, and every
+    point of a function with a coefficient beyond the double range, is
+    `fraction_sample_point`."""
     transfer = isinstance(f, TransferFunction)
     num, den = f.numerator, f.denominator
     ws = [float(w) for w in omegas]
@@ -915,7 +916,11 @@ def four_call_sample(f, omegas):
         x = 1j * w if transfer else w * w
         n, d = num(x), den(x)
         t = abs(x)
-        if den_gate(t) < abs(d) < math.inf and num_gate(t) < abs(n) < math.inf:
+        try:
+            fast = den_gate(t) < abs(d) < math.inf and num_gate(t) < abs(n) < math.inf
+        except OverflowError:  # finite parts, modulus beyond the double range
+            fast = False
+        if fast:
             out.append(SamplePoint(w, n / d))
         else:
             out.append(exact(w))

@@ -695,6 +695,21 @@ def test_sweep_phase_where_the_magnitude_overflows(capsys):
                 assert abs((phase - ref) / ref) < 1e-12, (spec, w)
 
 
+def test_sweep_where_the_modulus_of_a_finite_value_overflows(capsys, tmp_path):
+    # H(j) = 1.3e308 * (1 + j): both parts are doubles, |H| is not
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps({"num": ["1.3e308", "1.3e308"], "den": [1]}))
+    code, out, err = run(
+        capsys, ["sweep", "--source", f"file:{path}", "--omega-max", "1", "--points", "2"]
+    )
+    assert code == 0, err
+    assert out.splitlines() == [
+        "omega,magnitude,phase_rad,group_delay",
+        "0.0,1.3e+308,0.0,-1.0",
+        "1.0,inf,0.7853981633974483,-0.5",
+    ]
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
     # as in `besselpade sweep ... | head`: the reader closes the pipe

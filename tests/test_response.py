@@ -326,6 +326,52 @@ def test_sample_matches_the_four_call_loop():
             assert got == [repr(p) for p in _oracles.four_call_sample(f, omegas)], f
 
 
+def test_sample_over_blocks_of_points_matches_the_four_call_loop():
+    # grids of several blocks in ascending, descending and shuffled order:
+    # on 0..3 one bound settles each block, and around the pole at 0.5j of
+    # the last source the points just outside their own gate are mixed
+    # with points of smaller |x|; on 0..1e39 the bound overflows or fails
+    # and each point's own gate decides
+    local = random.Random(24031)
+    narrow = [3.0 * i / 149 for i in range(150)]
+    narrow += [0.5 + k * 2.0**-26 for k in range(-40, 41)]
+    wide = [1e39 * i / 69 for i in range(70)]
+    grids = []
+    for grid in (narrow, wide):
+        shuffled = sorted(grid)
+        local.shuffle(shuffled)
+        grids += [sorted(grid), sorted(grid, reverse=True), shuffled]
+    sources = kernel_sources()
+    for tf in sources[::29] + sources[-1:]:
+        for f in (tf, group_delay(tf), magnitude_squared(tf)):
+            for omegas in grids:
+                got = [repr(p) for p in sample(f, omegas)]
+                assert got == [repr(p) for p in _oracles.four_call_sample(f, omegas)], f
+
+
+def test_sample_where_the_modulus_of_a_finite_value_overflows():
+    # N(j) = 1.3e308 * (1 + j) has finite parts and a modulus past the
+    # double range; such a point is evaluated exactly
+    tf = TransferFunction(Polynomial(["1.3e308", "1.3e308"]), Polynomial([1]))
+    omegas = [0.0, 0.5, 1.0, -1.0, 3.0, 1e10]
+    for f in (tf, group_delay(tf), magnitude_squared(tf)):
+        got = sample(f, omegas)
+        assert [repr(p) for p in got] == [repr(p) for p in _oracles.four_call_sample(f, omegas)]
+        for p in got:
+            assert repr((p.value, p.pole_adjacent)) == repr(
+                _oracles.fraction_sample_point(f, p.omega)
+            ), (f, p.omega)
+    (p,) = sample(tf, [1.0])
+    assert p.value == complex(1.3e308, 1.3e308) and not p.pole_adjacent
+
+
+def test_sample_of_no_points():
+    huge = TransferFunction(Polynomial([F(10) ** 400]), Polynomial([1, 1]))
+    for tf in (pe(3, 2), huge):
+        for f in (tf, group_delay(tf), magnitude_squared(tf)):
+            assert sample(f, []) == []
+
+
 def test_sweep_rows_match_rows_from_sample():
     # where the double H is real at omega > 0 while the exact H is not,
     # its imaginary part underflowed, and where |H| overflowed the double

@@ -409,7 +409,7 @@ def delay_gamma_polynomials(
         scaled = [p**k * q ** (bound - k) for k in range(bound + 1)]
         for got, rows in ((delay.numerator, num), (delay.denominator, den)):
             want = [sum(map(operator.mul, row, scaled)) for row in rows]
-            have = got._nums
+            have = got.integer_form[0]
             if any(h * want[0] != w * have[0] for h, w in zip_longest(have, want, fillvalue=0)):
                 raise ArithmeticError(f"delay block disagrees with the group delay at gamma = {g}")
 
@@ -418,8 +418,8 @@ def delay_gamma_polynomials(
     return DelayCoefficientPolys(
         m,
         n,
-        tuple([Polynomial._from_ints([c // divisor for c in row], 1) for row in num[1:]]),
-        tuple([Polynomial._from_ints([c // divisor for c in row], 1) for row in den[1:]]),
+        tuple([Polynomial.from_integer_form([c // divisor for c in row]) for row in num[1:]]),
+        tuple([Polynomial.from_integer_form([c // divisor for c in row]) for row in den[1:]]),
         Fraction(const // divisor),
     )
 

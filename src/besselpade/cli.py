@@ -118,7 +118,7 @@ def minimum_phase(tf: TransferFunction) -> bool:
     num = tf.numerator
     if num.degree < 1:
         return True
-    if len({c > 0 for c in num._nums if c}) > 1:
+    if len({c > 0 for c in num.integer_form[0] if c}) > 1:
         return False
     verdict = routh_hurwitz(num).verdict
     return verdict in (Verdict.STRICT_HURWITZ, Verdict.MARGINAL)

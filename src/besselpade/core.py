@@ -10,14 +10,18 @@ Every coefficient is rational, so all operations here are exact. A
 `Polynomial` is held as integer numerators over one positive
 denominator, the lcm of its coefficients' denominators, so sums,
 products, scalar products and `monic` run on plain ints and pay one gcd
-per result. Canonical forms first try to prove numerator and
+per result. That integer form is the package's internal interface to a
+polynomial: other modules read it through `Polynomial.integer_form`,
+build from it through `Polynomial.from_integer_form`, take the split on
+the imaginary axis from `Polynomial.jw_split`, and run the list kernels
+of `_intpoly` on it. Canonical forms first try to prove numerator and
 denominator coprime modulo the prime 2^30 - 35, whose residues are one
 CPython digit each, and run Euclid over Q only when that proof fails.
 All values are immutable after construction and every operation is a
 pure function; instances may be freely shared across threads. (A
-`Polynomial` fills two cache slots on first use: its `coefficients` as
-Fractions, and its float and complex lowering; two threads racing to
-fill one store equal values.)
+`Polynomial` fills three cache slots on first use: its `coefficients` as
+Fractions, its float and complex lowering, and its `jw_split`; two
+threads racing to fill one store equal values.)
 
 Rationals serialize as "p/q" strings (the "/q" omitted when q = 1), which is
 exactly what `str(Fraction)` produces and `Fraction(str)` parses back.
@@ -28,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence, Union
+
+from ._intpoly import convolve, derivative, int_add, square
 
 Coefficient = Union[Fraction, int, str]
 
@@ -40,49 +45,15 @@ def _frac(x: Coefficient) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two ascending integer coefficient lists, schoolbook,
-    skipping the zero entries of both; nonempty a and b give
-    len(a) + len(b) - 1 entries, trailing zeros kept."""
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(k, y) for k, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for k, y in terms:
-                out[i + k] += x * y
-    return out
-
-
-def _square(a: Sequence[int]) -> list[int]:
-    """a * a for an ascending integer list, forming each cross product
-    a_i a_k (i < k) once and doubling it; nonempty a gives 2 len(a) - 1
-    entries, trailing zeros kept."""
-    out = [0] * (2 * len(a) - 1 if a else 0)
-    for i, x in enumerate(a):
-        if x:
-            out[2 * i] += x * x
-            x += x
-            for t, y in enumerate(a[i + 1 :], 2 * i + 1):  # t = i + k
-                if y:
-                    out[t] += x * y
-    return out
-
-
-def _int_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
-    """a + sign * b for ascending integer coefficient lists, trailing
-    zeros kept."""
-    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    The coefficient of x**k is _nums[k] / _den, over the lcm _den > 0 of
-    the coefficients' denominators, so the pair is unique. The numerators
-    ascend in degree with no trailing zeros; the zero polynomial holds an
-    empty tuple over 1 and reports degree -1. Three cache slots are filled
-    on first use: `coefficients`, the float lowering (highest first, for
-    Horner), and the split on the imaginary axis.
+    The coefficient of x**k is nums[k] / den, over the lcm den > 0 of the
+    coefficients' denominators, so the pair (`integer_form`) is unique.
+    The numerators ascend in degree with no trailing zeros; the zero
+    polynomial holds an empty tuple over 1 and reports degree -1. Three
+    cache slots are filled on first use: `coefficients`, the float
+    lowering (highest first, for Horner), and `jw_split`.
     """
 
     __slots__ = ("_nums", "_den", "_fractions", "_lowered", "_split")
@@ -93,19 +64,35 @@ class Polynomial:
         self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @classmethod
-    def _from_ints(cls, nums: list[int], den: int) -> "Polynomial":
-        """The polynomial nums / den, den nonzero; takes nums over."""
+    def from_integer_form(cls, nums: Sequence[int], den: int = 1) -> "Polynomial":
+        """The polynomial with x**k coefficient nums[k] / den, ascending.
+
+        Any sequence of ints and any nonzero den are accepted, the sign of
+        den included; one gcd brings the pair to `integer_form`, and nums
+        is left as it was given."""
         return cls.__new__(cls)._set(nums, den)
 
-    def _set(self, nums: list[int], den: int) -> "Polynomial":
+    def _set(self, nums: Sequence[int], den: int) -> "Polynomial":
+        if not den:
+            raise ZeroDivisionError("zero denominator")
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-        if g != 1:
-            nums = [c // g for c in nums]
-        while nums and not nums[-1]:
-            nums.pop()
-        self._nums, self._den = tuple(nums), den // g
+        if nums and not nums[-1]:  # strip trailing zeros by slicing
+            end = len(nums) - 1
+            while end and not nums[end - 1]:
+                end -= 1
+            nums = nums[:end]
+        self._nums = tuple([c // g for c in nums]) if g != 1 else tuple(nums)
+        self._den = den // g
         self._fractions = self._lowered = self._split = None
         return self
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): the coefficient of x**k is nums[k] / den, with den
+        > 0 the lcm of the coefficients' denominators and no trailing zero
+        in nums; the zero polynomial is ((), 1). The package's modules
+        read a polynomial's integers through this view alone."""
+        return self._nums, self._den
 
     @classmethod
     def monomial(cls, power: int, coefficient: Coefficient = 1) -> "Polynomial":
@@ -162,13 +149,13 @@ class Polynomial:
             other = Polynomial([other])
         den = math.lcm(self._den, other._den)
         a, b = den // self._den, den // other._den
-        out = _int_add([a * c for c in self._nums], [b * c for c in other._nums])
-        return Polynomial._from_ints(out, den)
+        out = int_add([a * c for c in self._nums], [b * c for c in other._nums])
+        return Polynomial.from_integer_form(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._from_ints([-c for c in self._nums], self._den)
+        return Polynomial.from_integer_form([-c for c in self._nums], self._den)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -185,10 +172,11 @@ class Polynomial:
             if self.is_zero or other.is_zero:
                 return Polynomial()
             # (A / da) * (B / db) = (A * B) / (da * db), A and B over Z
-            return Polynomial._from_ints(_convolve(self._nums, other._nums), self._den * other._den)
+            nums = convolve(self._nums, other._nums)
+            return Polynomial.from_integer_form(nums, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             out = [c * other.numerator for c in self._nums]
-            return Polynomial._from_ints(out, self._den * other.denominator)
+            return Polynomial.from_integer_form(out, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -245,21 +233,22 @@ class Polynomial:
         self._lowered = (floats, tuple([complex(c) for c in floats]))
         return self._lowered
 
-    def _jw_split(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """(L, e, o, e^2 + u*o^2), made once, with L*P(j*omega) =
-        e(u) + j*omega*o(u) for u = omega^2: L = _den > 0, and e and o
-        ascending integer tuples, (-1)^k times the even and odd numerators.
-        The last entry is |L*P(j*omega)|^2 as an integer tuple in u."""
+    def jw_split(self) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(L, e, o, e^2 + u*o^2), made on first use and kept, with
+        L*P(j*omega) = e(u) + j*omega*o(u) for u = omega^2: L > 0 the
+        denominator of `integer_form`, and e and o ascending integer
+        tuples, (-1)^k times its even and odd numerators. The last entry
+        is |L*P(j*omega)|^2 as an integer tuple in u."""
         if self._split is None:
             e, o = list(self._nums[0::2]), list(self._nums[1::2])
             e[1::2] = [-x for x in e[1::2]]
             o[1::2] = [-x for x in o[1::2]]
-            square = _int_add(_square(e), [0, *_square(o)])
-            self._split = (self._den, tuple(e), tuple(o), tuple(square))
+            sq = int_add(square(e), [0, *square(o)])
+            self._split = (self._den, tuple(e), tuple(o), tuple(sq))
         return self._split
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._from_ints([k * c for k, c in enumerate(self._nums)][1:], self._den)
+        return Polynomial.from_integer_form(derivative(self._nums), self._den)
 
     def scale_substitute(self, c: Coefficient) -> "Polynomial":
         """Return p(c*x): the x**k coefficient is multiplied by c**k."""
@@ -267,15 +256,15 @@ class Polynomial:
         p, q, top = c.numerator, c.denominator, max(self.degree, 0)
         # c**k = p**k q**(top-k) / q**top
         nums = [n * p**k * q ** (top - k) for k, n in enumerate(self._nums)]
-        return Polynomial._from_ints(nums, self._den * q**top)
+        return Polynomial.from_integer_form(nums, self._den * q**top)
 
     def even_part(self) -> "Polynomial":
         """E with p(x) = E(x^2) + x*O(x^2)."""
-        return Polynomial._from_ints(list(self._nums[0::2]), self._den)
+        return Polynomial.from_integer_form(self._nums[0::2], self._den)
 
     def odd_part(self) -> "Polynomial":
         """O with p(x) = E(x^2) + x*O(x^2)."""
-        return Polynomial._from_ints(list(self._nums[1::2]), self._den)
+        return Polynomial.from_integer_form(self._nums[1::2], self._den)
 
     # -- division ----------------------------------------------------------
 
@@ -317,7 +306,7 @@ class Polynomial:
         if lead == self._den:
             return self
         # (n_k / den) / (lead / den) = n_k / lead
-        return Polynomial._from_ints(list(self._nums), lead)
+        return Polynomial.from_integer_form(self._nums, lead)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c primitive (integer coefficients, gcd 1)."""
@@ -446,7 +435,7 @@ def _reduce_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomi
     lead = den._nums[-1]
     if lead != den._den:
         # num / (lead / den._den), and den scaled monic
-        num = Polynomial._from_ints([c * den._den for c in num._nums], num._den * lead)
+        num = Polynomial.from_integer_form([c * den._den for c in num._nums], num._den * lead)
         den = den.monic()
     return num, den
 

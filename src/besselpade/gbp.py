@@ -79,7 +79,7 @@ def gbp(params: GbpParams) -> Polynomial:
         nums[n - k] = prefix * suffix[k]
         prefix *= up
     nums[0] = prefix
-    return Polynomial._from_ints(nums, suffix[0])
+    return Polynomial.from_integer_form(nums, suffix[0])
 
 
 def gbp_of(n: int, alpha: RationalLike, beta: RationalLike) -> Polynomial:

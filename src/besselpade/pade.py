@@ -64,12 +64,14 @@ def _scaled_factor(n: int, m: int, sign: int) -> list[int]:
 
 def pade_numerator(idx: PadeIndex) -> Polynomial:
     """Q_nm before canonical reduction: Q_nm(s) = P_mn(-s)."""
-    return Polynomial._from_ints(_scaled_factor(idx.m, idx.n, -1), math.factorial(idx.n + idx.m))
+    scale = math.factorial(idx.n + idx.m)
+    return Polynomial.from_integer_form(_scaled_factor(idx.m, idx.n, -1), scale)
 
 
 def pade_denominator(idx: PadeIndex) -> Polynomial:
     """P_nm before canonical reduction."""
-    return Polynomial._from_ints(_scaled_factor(idx.n, idx.m, 1), math.factorial(idx.n + idx.m))
+    scale = math.factorial(idx.n + idx.m)
+    return Polynomial.from_integer_form(_scaled_factor(idx.n, idx.m, 1), scale)
 
 
 def pade_exp(idx: PadeIndex) -> TransferFunction:
@@ -77,8 +79,8 @@ def pade_exp(idx: PadeIndex) -> TransferFunction:
     factor (n+m)! cancels."""
     n, m = idx.n, idx.m
     return TransferFunction(
-        Polynomial._from_ints(_scaled_factor(m, n, -1), 1),
-        Polynomial._from_ints(_scaled_factor(n, m, 1), 1),
+        Polynomial.from_integer_form(_scaled_factor(m, n, -1)),
+        Polynomial.from_integer_form(_scaled_factor(n, m, 1)),
     )
 
 

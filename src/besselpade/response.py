@@ -1,7 +1,7 @@
 """Frequency-domain analysis: exact in u = omega^2, sampled on the axis.
 
 Each polynomial is split once, over the integers, and the split is kept
-on the polynomial (`Polynomial._jw_split`). With L > 0 the lcm of the
+on the polynomial (`Polynomial.jw_split`). With L > 0 the lcm of the
 denominators of P,
 
     L * P(j*omega) = e(u) + j*omega*o(u),
@@ -21,11 +21,12 @@ The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2 is exactly
 psi_P's denominator; it is formed once per polynomial, with the split,
 from two squares that form each cross product e_i*e_k once, and both
 the delay and |H(j*omega)|^2, the ratio of those of N and D
-times L_D^2 / L_N^2, read it. Products run on integer lists through
-`core._convolve`; each result becomes two `Polynomial`s once, when it is
-put in canonical form. Both quantities are exact even rational
-functions; flatness orders fall out of their Maclaurin expansions at the
-origin, which the delay's products give before any reduction.
+times L_D^2 / L_N^2, read it. Products run on integer lists through the
+kernels of `_intpoly`; each result becomes two `Polynomial`s once
+(`Polynomial.from_integer_form`), when it is put in canonical form.
+Both quantities are exact even rational functions; flatness orders fall
+out of their Maclaurin expansions at the origin, which the delay's
+products give before any reduction.
 
 On the axis, `sample` evaluates in doubles where they are accurate and
 over the Gaussian integers elsewhere; `frequency_rows` makes its pairs
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .core import EvenRationalFunction, Polynomial, TransferFunction, _convolve, _int_add
+from ._intpoly import convolve, derivative, int_add
+from .core import EvenRationalFunction, Polynomial, TransferFunction
 
 # (value, pole_adjacent) of one sample point
 _Pair = tuple[Union[float, complex], bool]
@@ -80,18 +82,14 @@ class FlatnessReport:
     quantity: Optional[Quantity] = None
 
 
-def _derivative(c: list[int]) -> list[int]:
-    return [k * x for k, x in enumerate(c)][1:]
-
-
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
     """|H(j*omega)|^2 as a reduced even rational function of u:
     |N|^2 / |D|^2 = L_D^2 |L_N N|^2 / (L_N^2 |L_D D|^2)."""
-    ln, _, _, num = tf.numerator._jw_split()
-    ld, _, _, den = tf.denominator._jw_split()
+    ln, _, _, num = tf.numerator.jw_split()
+    ld, _, _, den = tf.denominator.jw_split()
     return EvenRationalFunction(
-        Polynomial._from_ints([ld * ld * c for c in num], 1),
-        Polynomial._from_ints([ln * ln * c for c in den], 1),
+        Polynomial.from_integer_form([ld * ld * c for c in num]),
+        Polynomial.from_integer_form([ln * ln * c for c in den]),
     )
 
 
@@ -99,13 +97,13 @@ def _phase_slope(p: Polynomial) -> tuple[list[int], Sequence[int]]:
     """Numerator e*O - o*E and denominator e^2 + u*o^2 of
     psi_P(u) = d(arg P(j*omega))/d(omega), as integer lists; the lcm of
     the split cancels. A constant P has slope [0] over its square."""
-    _, e, o, square = p._jw_split()
+    _, e, o, square = p.jw_split()
     odd = [(2 * k + 1) * c for k, c in enumerate(o)]
     even = [2 * k * c for k, c in enumerate(e)]
-    return _int_add(_convolve(e, odd), _convolve(o, even), -1) or [0], square
+    return int_add(convolve(e, odd), convolve(o, even), -1) or [0], square
 
 
-def _delay_products(tf: TransferFunction) -> tuple[list[int], list[int]]:
+def _delay_products(tf: TransferFunction) -> tuple[list[int], Sequence[int]]:
     """The group delay psi_D - psi_N as the integer lists
     A_D*B_N - A_N*B_D over B_D*B_N, with A_P/B_P = psi_P, not reduced.
     When one slope is zero (an even P) the other slope alone is returned:
@@ -118,16 +116,15 @@ def _delay_products(tf: TransferFunction) -> tuple[list[int], list[int]]:
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)
     if not any(nn):
-        return dn, list(dd)
+        return dn, dd
     if not any(dn):
-        return [-c for c in nn], list(nd)
-    return _int_add(_convolve(dn, nd), _convolve(nn, dd), -1), _convolve(dd, nd)
+        return [-c for c in nn], nd
+    return int_add(convolve(dn, nd), convolve(nn, dd), -1), convolve(dd, nd)
 
 
 def group_delay(tf: TransferFunction) -> EvenRationalFunction:
     """t_d(omega) = -d(arg H(j*omega))/d(omega), exact in u."""
-    num, den = _delay_products(tf)
-    return EvenRationalFunction(Polynomial._from_ints(num, 1), Polynomial._from_ints(den, 1))
+    return EvenRationalFunction(*map(Polynomial.from_integer_form, _delay_products(tf)))
 
 
 def flatness(
@@ -141,7 +138,8 @@ def flatness(
     num, den = f.numerator, f.denominator
     if max_terms is None:
         max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
-    report = _first_deviation(num._nums, den._nums, num._den, den._den, quantity)
+    (nums, num_den), (dens, den_den) = num.integer_form, den.integer_form
+    report = _first_deviation(nums, dens, num_den, den_den, quantity)
     if report.order is None:
         raise FlatBeyondHorizon(
             f"no deviation within {max_terms} terms: function is constant"
@@ -188,11 +186,12 @@ def delay_flatness(tf: TransferFunction) -> FlatnessReport:
     num - f(0)*den = g * (the reduced deviation), so the scan finds the
     same lowest power and, over den(0), the same coefficient. The order
     stays below the horizon of the reduced function, which exceeds both
-    of its degrees. A constant delay goes to `flatness`, which raises.
+    of its degrees. A constant delay raises what `flatness` raises on
+    it: reduced, it is a constant over 1, whose horizon is 4.
     """
     report = _first_deviation(*_delay_products(tf), quantity=Quantity.DELAY)
     if report.order is None:
-        return flatness(group_delay(tf), quantity=Quantity.DELAY)
+        raise FlatBeyondHorizon("no deviation within 4 terms: function is constant")
     return report
 
 
@@ -256,8 +255,8 @@ def _sample_pairs(
     num, den = f.numerator, f.denominator
     exact_point = _exact_sampler(f)
     try:
-        for p in (num, den):  # raises past the double range
-            max(map(abs, p._nums), default=0) / p._den
+        for nums, lcm in (num.integer_form, den.integer_form):  # raises past the double range
+            max(map(abs, nums), default=0) / lcm
     except OverflowError:
         return [exact_point(w) for w in ws]
     num_gate, den_gate = _horner_gate(num), _horner_gate(den)
@@ -316,13 +315,13 @@ def frequency_rows(
     row; a zero there leaves that row magnitude 0.0 and the finite delay
     of the reduced function.
     """
-    num, den = tf.numerator, tf.denominator
-    zeros, poles = num.lowest_nonzero_power(), den.lowest_nonzero_power()
+    (num, ln), (den, ld) = tf.numerator.integer_form, tf.denominator.integer_form
+    zeros, poles = tf.numerator.lowest_nonzero_power(), tf.denominator.lowest_nonzero_power()
     reduced = tf
     if zeros or poles:
         reduced = TransferFunction(
-            Polynomial._from_ints(list(num._nums[zeros:]), num._den),
-            Polynomial._from_ints(list(den._nums[poles:]), den._den),
+            Polynomial.from_integer_form(num[zeros:], ln),
+            Polynomial.from_integer_form(den[poles:], ld),
         )
     delay_pairs = _sample_pairs(group_delay(reduced), omegas)
     rows = []
@@ -336,7 +335,7 @@ def frequency_rows(
             mag = math.inf
         phase = cmath.phase(h)
         if w and not (h.imag and mag < math.inf):
-            a, b, _ = _times_conjugate(num._nums, den._nums, *w.as_integer_ratio())
+            a, b, _ = _times_conjugate(num, den, *w.as_integer_ratio())
             scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)
             phase = math.atan2(b / scale, a / scale) if b else phase
         rows.append((w, mag, phase, delay, False))
@@ -348,7 +347,8 @@ def _horner_gate(p: Polynomial) -> list[float]:
     a polynomial in t = |x|, each rounded once: a double Horner value of p
     that exceeds it has about eight correct digits. With eps = 2^-52 and
     p_k = n_k / den, the coefficient is (deg p + 1) |n_k| / (den * 2^25)."""
-    return [(p.degree + 1) * abs(c) / (p._den << 25) for c in p._nums]
+    nums, den = p.integer_form
+    return [(p.degree + 1) * abs(c) / (den << 25) for c in nums]
 
 
 def _exact_sampler(
@@ -365,11 +365,11 @@ def _exact_sampler(
     test then loses the powers of q, and the value L_D N / (L_N D) is one
     int / int true division with a positive divisor, so a zero is 0.0.
     """
-    ln, num = f.numerator._den, list(f.numerator._nums)
-    ld, den = f.denominator._den, list(f.denominator._nums)
-    pad = len(den) - len(num)  # [0] * k is empty for k <= 0
-    num, den = num + [0] * pad, den + [0] * -pad
-    slope = _derivative(den)
+    num, ln = f.numerator.integer_form
+    den, ld = f.denominator.integer_form
+    pad = len(den) - len(num)  # (0,) * k is empty for k <= 0
+    num, den = num + (0,) * pad, den + (0,) * -pad
+    slope = derivative(den)
 
     if isinstance(f, EvenRationalFunction):
 

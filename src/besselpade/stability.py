@@ -3,9 +3,9 @@
 The array is computed exactly, with no epsilon perturbation, in one pass
 of n + 1 rows. Each rational row R_i is held as integers T_i over one
 positive denominator d_i, R_i = T_i / d_i. The first two rows are sliced
-from p's stored integer numerators (every other one, from the top), over
-their lcm, and negated when the leading coefficient is negative, so that
-the array starts with a positive entry. The rational recurrence
+from p's `integer_form` (every other numerator, from the top), over its
+lcm, and negated when the leading coefficient is negative, so that the
+array starts with a positive entry. The rational recurrence
 
     R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
 
@@ -82,7 +82,7 @@ class StabilityReport:
 
 def routh_hurwitz(p: Polynomial) -> StabilityReport:
     """Classify a polynomial of degree >= 1."""
-    nums = p._nums
+    nums, den = p.integer_form
     n = len(nums) - 1
     if n < 1:
         raise ValueError("need a nonzero polynomial of degree at least 1")
@@ -94,7 +94,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         row.append(0)
     if nums[-1] < 0:
         above, row = [-c for c in above], [-c for c in row]
-    d_above = d_row = p._den
+    d_above = d_row = den
     column = [Fraction(above[0]) if d_above == 1 else Fraction(above[0], d_above)]
     # the leading entry of the first row is positive, and d_i > 0, so the
     # column entry T_i[0] / d_i has the sign of the integer T_i[0]

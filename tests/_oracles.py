@@ -773,11 +773,12 @@ def _integer_routh_leading(p):
     width = n // 2 + 1
     degenerate = []
     first_pivot = None
+    nums, den = p.integer_form
     above, row = (
-        [p._nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
+        [nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
     )
-    d_above = d_row = p._den
-    leading = [(above[0], p._den)]
+    d_above = d_row = den
+    leading = [(above[0], den)]
     for i in range(1, n + 1):
         if not any(row):
             degenerate.append(i)
@@ -809,7 +810,7 @@ def leading_pairs_routh_hurwitz(p):
     pair first, then the sign changes and the column from that list."""
     if p.is_zero or p.degree < 1:
         raise ValueError("need a nonzero polynomial of degree at least 1")
-    if p._nums[-1] < 0:
+    if p.integer_form[0][-1] < 0:
         p = -p
     leading, degenerate, first_pivot = _integer_routh_leading(p)
     changes = _sign_changes([t for t, _ in leading])

@@ -13,6 +13,13 @@ equal coefficient by coefficient, the stability report equal field by
 field and in its repr, also to the integer array that collects every
 row's leading pair before it counts sign changes.
 
+Other modules see those integers only through `Polynomial.integer_form`,
+build from them through `Polynomial.from_integer_form` (which reduces by
+one gcd and never changes the list it is given), and take the split on
+the imaginary axis from `Polynomial.jw_split`; each must agree with the
+Fraction coefficients, and the products with the Fraction schoolbook on
+signed entries, interior zeros and zero low coefficients.
+
 The analyze path is integer-first too: `pade_exp` and `gbp` build their
 coefficients over the integers, `gbp` as prefix and suffix products of
 its term ratios over one denominator; `group_delay` and
@@ -87,6 +94,55 @@ def test_product_matches_fraction_schoolbook():
         p = random_polynomial(rng, rng.choice(KINDS), 30)
         q = random_polynomial(rng, rng.choice(KINDS), 30)
         assert p * q == _oracles.fraction_product(p, q), (p, q)
+
+    def entry():
+        return rng.choice([0, 0, 0, rng.randint(-99, 99), -(1 << rng.randint(60, 300))])
+
+    def shaped(degree):
+        # entries of both signs, runs of interior zeros, a zero low end
+        low = rng.randint(0, 3)
+        body = [entry() for _ in range(degree - low)]
+        return Polynomial([0] * low + body + [rng.choice([-1, 1]) * rng.randint(1, 9)])
+
+    for degree in (0, 1, 2, 5, 12, 40, 90):
+        for _ in range(6):
+            p, q = shaped(degree), shaped(rng.randint(0, degree + 3))
+            assert p * q == _oracles.fraction_product(p, q) == q * p, (p, q)
+            assert p * p == _oracles.fraction_product(p, p), p
+            for a, b in ((p * F(-3, 7), q), (p, q * F(5, 1 << 70))):  # lcms on both sides
+                assert a * b == _oracles.fraction_product(a, b), (a, b)
+
+
+def test_integer_form_is_the_lcm_view_and_round_trips():
+    rng = random.Random(20261020)
+    polys = [Polynomial(), Polynomial([0, 0]), Polynomial([F(1, 2), F(-3, 4), 5])]
+    polys += [random_polynomial(rng, kind) for kind in KINDS for _ in range(25)]
+    for p in polys:
+        nums, den = p.integer_form
+        assert type(nums) is tuple and all(type(c) is int for c in nums), p
+        assert den > 0 and den == math.lcm(*[c.denominator for c in p.coefficients]), p
+        assert tuple(F(c, den) for c in nums) == p.coefficients, p
+        assert not nums or nums[-1] != 0, p
+        assert Polynomial.from_integer_form(*p.integer_form) == p
+        assert Polynomial.from_integer_form(nums) == p * den
+    assert Polynomial().integer_form == Polynomial([0, 0]).integer_form == ((), 1)
+    assert Polynomial([F(1, 2), F(-3, 4), 5]).integer_form == ((2, -3, 20), 4)
+
+
+def test_from_integer_form_reduces_once_and_leaves_its_argument_alone():
+    # a negative den is normalized, and the joint gcd and trailing zeros go
+    got = Polynomial.from_integer_form((2, -4, 6, 0, 0), -4)
+    assert got.integer_form == ((-1, 2, -3), 2)
+    assert got.coefficients == (F(-1, 2), 1, F(-3, 2))
+    assert Polynomial.from_integer_form([0, 0, 0], -7).integer_form == ((), 1)
+    assert Polynomial.from_integer_form((1, 0), 1) == Polynomial([1])
+    assert Polynomial.from_integer_form([3, 0, -5]) == Polynomial([3, 0, -5])
+    for nums in ([6, 0, 3, 0, 0], (6, 0, 3, 0, 0)):
+        assert Polynomial.from_integer_form(nums, 9) == Polynomial([F(2, 3), 0, F(1, 3)])
+        assert Polynomial.from_integer_form(nums, -3) == Polynomial([-2, 0, -1])
+        assert nums == type(nums)([6, 0, 3, 0, 0])
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.from_integer_form([1, 2], 0)
 
 
 def test_product_of_large_denominators_stays_reduced():
@@ -401,6 +457,23 @@ def test_squared_splits_of_sparse_one_term_and_huge_polynomials():
                     assert got == flatness(want, quantity=Quantity.DELAY), tf
                 checked += 1
     assert checked > 60
+
+
+def test_jw_split_is_the_fraction_split_over_the_lcm_and_is_kept():
+    rng = random.Random(20261023)
+    polys = [Polynomial([7]), Polynomial([F(-3, 4)]), Polynomial([0, 0, 0, 1])]
+    polys += [random_polynomial(rng, kind, 9) for kind in KINDS for _ in range(5)]
+    u = Polynomial([0, 1])
+    for p in polys:
+        if p.is_zero:
+            continue
+        lcm, e, o, square = p.jw_split()
+        assert lcm == p.integer_form[1]
+        fe, fo = _oracles.fraction_jw_split(p)
+        assert Polynomial.from_integer_form(e, lcm) == fe, p
+        assert Polynomial.from_integer_form(o, lcm) == fo, p
+        assert Polynomial.from_integer_form(square, lcm * lcm) == fe * fe + u * fo * fo, p
+        assert p.jw_split() is p.jw_split()
 
 
 def test_exact_sample_points_keep_the_lcm_ratio():

@@ -519,13 +519,23 @@ def test_delay_flatness_matches_the_canonical_delay_oracle():
         for g in (F(2, 3), F(3, 2), F(2), F(1))
     ]
     tfs += axis_root_sources()
+    # constants and even over even: delay_flatness raises on their constant
+    # delays without building them, with flatness's exception and message
+    tfs.append(source_tf("bessel:0")[0])
+    for num, den in (
+        ([F(2, 3)], [5]),
+        ([-7], [F(1, 9)]),
+        ([1, 0, 3], [4, 0, 1]),
+        ([F(9, 2), 0, -2, 0, 1], [F(1, 2), 0, 1]),
+    ):
+        tfs.append(TransferFunction(Polynomial(num), Polynomial(den)))
     raised = 0
     for tf in tfs:
         got = flatness_outcome(delay_flatness, tf)
         assert got == flatness_outcome(_oracles.canonical_delay_flatness, tf), tf
         raised += isinstance(got, str)
-    # pade:0,0, 1/(s^2+4) and 1/(s^2+1) have constant delays
-    assert raised == 3
+    # pade:0,0, 1/(s^2+4), 1/(s^2+1) and the five above have constant delays
+    assert raised == 8
     for tf in (
         TransferFunction(Polynomial([0, 1]), Polynomial([1, 1])),
         TransferFunction(Polynomial([1]), Polynomial([0, 1, 1])),

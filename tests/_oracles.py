@@ -1,87 +1,45 @@
-"""Shared numerical oracles for the test suite.
+"""Shared oracles for the test suite, one per quantity, each from its definition.
 
-These deliberately avoid the library's own symbolic pipeline: delay is a
-finite difference of the numerically evaluated phase, magnitude is plain
-complex evaluation. mpmath supplies the working precision. The gcd oracle
-is plain Euclid over Q, without the library's modular coprimality check.
-The float evaluation oracle is Horner over the Fraction coefficients.
-The Budak delay-block oracles recover the block by sampling the canonical
-group delay at rational gamma and interpolating, and by substituting
-sigma = 2 gamma and 2(gamma-1) into the Fraction phase slopes of the
-unscaled Bessel polynomials, where the library reads it off the
-maximally-flat-delay identity of the weight table; the term-by-term
-block oracle sums the same identity one new list per term, where the
-library adds each term in place. The interpolation oracle expands
-Newton's form with two new `Polynomial`s per Horner step, where the
-library expands on one coefficient list. The magnitude
-mismatch oracle interpolates the normalized coefficients of the
-canonical squared magnitude at integer gamma, where the library samples
-the closed form of the weights. The decimal-rendering oracle
-brackets a surd by exact intervals, doubling their digits until both ends
-round alike, where the library rounds in one step. The mutual-exclusion
-oracle separates the gamma candidates by refined intervals, where the
-library compares the coefficient ratios exactly. The Routh continuation
-oracle resolves a zero pivot by classifying (s + a) * p for a = 1..50,
-where the library rewrites the offending row in one pass. The squared
-magnitude oracle forms the full product P(s) * P(-s) and keeps its even
-powers, where the library splits P(j*omega) into even and odd parts. The
-Pade numerator oracle is the explicit factorial sum for Q_nm, where the
-library reflects the denominator with n and m swapped. The Budak
-magnitude oracles are the paper's formulas as printed: the closed
-double sum for |G(j*omega)|^2, the explicit factorial ratio for A_j and
-the rationalized pair (A -+ sqrt(A))/(A - 1) for j = 1, where the library
-reads all three from one table of normalized weights and from q(gamma).
-The product oracle is the schoolbook convolution over Fraction
-coefficients, the list-arithmetic oracles add, scale, normalize,
-differentiate and substitute into the Fraction coefficient lists, where
-the library holds integer numerators over one denominator, and the rational Routh oracle runs the one-pass array with
-every row over Q, where the library clears denominators and runs both
-over the integers. The leading-pairs Routh oracle runs the same integer
-array but collects every row's leading pair first and then counts the
-sign changes and builds the column from that list, on rows indexed out
-of p's numerators after negating p, where the library slices and
-negates the first two rows and forms the column and the sign changes as
-each row is produced. The Fraction analysis oracles split P(j*omega) into
-`Polynomial`s over Q and form the phase slope, group delay and squared
-magnitude as sums of `Polynomial`s, where the library splits L*P over
-the integers and works on integer lists. The exact sample point oracle
-evaluates those splits at Fraction(omega) and rounds each Fraction once,
-where the library runs one homogeneous Horner sum over the integers at
-omega = p/q and divides two integers. The four-call sample oracle
-evaluates N, D and their two Horner error gates as four `Polynomial`
-calls a point and builds a `SamplePoint` for each, where the library
-runs both gates in one fused loop and hands `sweep` bare pairs; the
-sweep-row oracle builds the CSV rows from public `sample`. The source
-oracles build the
-generalized Bessel polynomial from one backward factorial per term and
-the Pade denominator from the factorial sum with its Fraction
-prefactors, where the library multiplies the term ratios out over the
-integers and clears (n+m)!. The flatness
-oracle forms the deviation polynomial num - f(0)*den and takes its
-lowest nonzero power, and the Fraction-scan flatness oracle compares
-num_k with f(0)*den_k as `Fraction`s, where the library scans the
-stored integer numerators by cross-multiplication. The delay flatness
-oracle scans the canonical group delay, and the design report oracle
-builds every report's delay flatness from it, where the library scans
-the delay's integer products before any reduction; its minimum phase
-runs the full Routh array on every numerator of positive degree, where
-the library answers a numerator with coefficients of both signs by
-those signs alone. The rendering oracle
-compares and prints each coefficient as a `Fraction`, where the library
-writes n_k/den in lowest terms by one gcd.
+- transfer_value, magnitude_value: H(j*omega) and |H|^2 by mpmath evaluation.
+- fd_group_delay: central difference of the numerically evaluated phase.
+- para_even: P(s)*P(-s) with s^2 -> -u.
+- explicit_pade_numerator, factorial_sum_pade_*: the Pade factorial sums.
+- backward_factorial_gbp: B_n(s; alpha, beta), one backward factorial a term.
+- double_sum_magnitude: Budak's closed double sum for |G(j*omega)|^2.
+- factorial_coefficient_ratio: A_j as the printed factorial ratio.
+- rationalized_gamma_pair: the roots (A -+ sqrt(A))/(A - 1) of (g/(g-1))^2 = A.
+- euclid_gcd: Euclid's loop over Q.
+- fraction_horner: Horner over the Fraction coefficients.
+- fraction_product, fraction_sum, fraction_scalar_product, fraction_monic,
+  fraction_content, fraction_derivative, fraction_scale_substitute: the
+  same operation on the Fraction coefficient lists.
+- sigma_substituted_delay_block: the Budak delay block from sigma = 2 gamma
+  and 2(gamma - 1) substituted into the Fraction phase slopes.
+- refined_surd_to_float: a surd bracketed by exact intervals until both
+  ends round alike.
+- interval_mutual_exclusion: the gamma candidates separated by refined
+  intervals.
+- rational_routh_hurwitz: the Routh array with every row over Q.
+- fraction_jw_split, fraction_phase_slope, fraction_group_delay,
+  fraction_magnitude_squared: P(j*omega) split into even and odd parts over Q.
+- fraction_sample_point: f at Fraction(omega), rounded once.
+- four_call_sample: `sample` with the Horner error gates evaluated per point.
+- sample_sweep_rows: the CSV rows of `sweep` from public `sample`.
+- deviation_polynomial_flatness: the lowest power of num - f(0)*den.
+- canonical_delay_flatness: the flatness of the canonical group delay.
+- routh_minimum_phase: the full Routh array of the numerator.
+- canonical_design_report: a design report from the oracles above.
+- fraction_to_str: a polynomial printed from its Fraction coefficients.
 """
 
 import cmath
 import math
 import sys
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Sequence
 
 import mpmath as mp
 
 from besselpade import (
-    BudakParams,
     DelayCoefficientPolys,
     EvenRationalFunction,
     FlatBeyondHorizon,
@@ -91,15 +49,12 @@ from besselpade import (
     StabilityReport,
     TransferFunction,
     Verdict,
-    budak_magnitude_closed,
-    budak_tf,
     gamma_candidates,
     group_delay,
-    interpolate,
     routh_hurwitz,
     sample,
 )
-from besselpade.cli import DesignReport, _flatness_or_constant, _pole_stability
+from besselpade.cli import DesignReport
 from besselpade.gbp import backward_factorial
 from besselpade.response import Quantity, SamplePoint, flatness, magnitude_squared
 
@@ -239,71 +194,6 @@ def fraction_horner(poly, x):
     return result
 
 
-def interpolated_delay_block(m, n, gamma_samples=None):
-    """The Budak delay block recovered by sampling and interpolation.
-
-    Samples the canonical group delay at distinct rational gamma (never 0
-    or 1), normalizes each sample to unit constant term, interpolates
-    coefficient-wise with a stabilisation check (one redundant sample) and
-    a degree bound of 2(n+m), then rescales the whole block to jointly
-    primitive integer polynomials. The library computes the same block
-    directly over Z[gamma]; the two must agree exactly.
-    """
-    bound = 2 * (n + m)
-    if gamma_samples is None:
-        gamma_samples = [Fraction(t) for t in range(2, bound + 5)]
-    samples = [Fraction(g) for g in gamma_samples]
-    if len(set(samples)) != len(samples) or any(g in (0, 1) for g in samples):
-        raise ValueError("gamma samples must be distinct and avoid 0 and 1")
-    if len(samples) <= bound:
-        raise ValueError(f"need more than {bound} samples, got {len(samples)}")
-
-    num_deg, den_deg = n + m - 1, n + m
-    num_rows = [[] for _ in range(num_deg)]
-    den_rows = [[] for _ in range(den_deg)]
-    for g in samples:
-        delay = group_delay(budak_tf(BudakParams(m, n, g)))
-        for i in range(1, num_deg + 1):
-            num_rows[i - 1].append((g, delay.numerator.coeff(i) / delay.numerator.coeff(0)))
-        for i in range(1, den_deg + 1):
-            den_rows[i - 1].append((g, delay.denominator.coeff(i) / delay.denominator.coeff(0)))
-
-    def recover(points):
-        poly = interpolate(points)
-        # at least one sample beyond the polynomial degree must be redundant
-        if poly.degree > len(points) - 2:
-            raise ArithmeticError("delay coefficient interpolation did not stabilize")
-        if poly.degree > bound:
-            raise ArithmeticError("delay coefficient degree exceeds its bound")
-        return poly
-
-    num_polys = [recover(row) for row in num_rows]
-    return _primitive_block(m, n, num_polys, [recover(row) for row in den_rows])
-
-
-def _primitive_block(m, n, num_polys, den_polys):
-    """The block from coefficient polynomials normalized to a unit constant
-    term: lam makes lam * (the unit constant and every coefficient)
-    integers with overall gcd 1."""
-    values = [Fraction(1)]
-    for poly in (*num_polys, *den_polys):
-        values.extend(poly.coefficients)
-    den_lcm = 1
-    for v in values:
-        den_lcm = math.lcm(den_lcm, v.denominator)
-    num_gcd = 0
-    for v in values:
-        num_gcd = math.gcd(num_gcd, abs(v.numerator) * (den_lcm // v.denominator))
-    lam = Fraction(den_lcm, num_gcd)
-    return DelayCoefficientPolys(
-        m,
-        n,
-        tuple(p * lam for p in num_polys),
-        tuple(p * lam for p in den_polys),
-        lam,
-    )
-
-
 def _u_product(p, q):
     """Product of two polynomials in u whose coefficients are Polynomials
     in gamma, as ascending lists."""
@@ -340,107 +230,17 @@ def sigma_substituted_delay_block(m, n):
     const = den[0]
     if const.degree != 0 or num[0] != const:
         raise ArithmeticError("delay constant terms differ or depend on gamma")
-    scale = 1 / const.coeff(0)
-    rows = [p * scale for p in num[1 : n + m]]
     if any(not p.is_zero for p in num[n + m :]):
         raise ArithmeticError("delay numerator exceeds degree n+m-1")
-    return _primitive_block(m, n, rows, [p * scale for p in den[1:]])
-
-
-def _int_list_add(a, b):
-    """a + b for ascending integer lists, a new list, trailing zeros kept."""
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-
-
-def _int_list_product(a, b):
-    """a * b for ascending integer lists, schoolbook into a new list."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b):
-            out[i + k] += x * y
-    return out
-
-
-def term_by_term_delay_block(m, n):
-    """The Budak delay block summed one term at a time over Z[gamma][u].
-
-    Each term 2 a_i b_j 4^(i+j) gamma^(2i) (gamma-1)^(2j), with a and b
-    the weights c(k, k-j)/k! of B_n and B_m and (gamma-1)^k built by
-    repeated products, is its own list; it is added to its row as a new
-    list, and enters the numerator times 1, gamma or 1 - gamma as a new
-    product, where the library adds every term in place into preallocated
-    rows. No check point is taken: this is the algebra alone.
-    """
-    f = math.factorial
-
-    def weights(k):
-        return [math.comb(k, i) * f(2 * i) * f(k + i) // (f(i) * f(k)) for i in range(k, -1, -1)]
-
-    a, b = weights(n), weights(m)
-    powers = [[1]]  # (gamma - 1)^k, ascending in gamma
-    for _ in range(2 * m):
-        powers.append(_int_list_product(powers[-1], [-1, 1]))
-    num = [[] for _ in range(n + m)]
-    den = [[] for _ in range(n + m + 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            term = [0] * (2 * i) + [2 * x * y * 4 ** (i + j) * c for c in powers[2 * j]]
-            den[i + j] = _int_list_add(den[i + j], term)
-            if i < n and j < m:
-                num[i + j] = _int_list_add(num[i + j], term)
-            elif i < n:  # times gamma
-                num[i + j] = _int_list_add(num[i + j], [0, *term])
-            elif j < m:  # times 1 - gamma
-                num[i + j] = _int_list_add(num[i + j], _int_list_product(term, [1, -1]))
-    const = den[0][0]
-    divisor = math.gcd(const, *[c for row in (*num[1:], *den[1:]) for c in row])
+    scale = 1 / const.coeff(0)
+    num_rows = [p * scale for p in num[1 : n + m]]
+    den_rows = [p * scale for p in den[1:]]
+    # lam makes lam * (the unit constant and every coefficient) integers with gcd 1
+    values = [Fraction(1)] + [c for p in (*num_rows, *den_rows) for c in p.coefficients]
+    lam = 1 / fraction_content(Polynomial(values))
     return DelayCoefficientPolys(
-        m,
-        n,
-        tuple([Polynomial([c // divisor for c in row]) for row in num[1:]]),
-        tuple([Polynomial([c // divisor for c in row]) for row in den[1:]]),
-        Fraction(const // divisor),
+        m, n, tuple(p * lam for p in num_rows), tuple(p * lam for p in den_rows), lam
     )
-
-
-def polynomial_horner_interpolate(points):
-    """Newton's divided differences over Fraction, expanded in Horner form
-    with two new `Polynomial`s a step, where the library expands on one
-    coefficient list and builds one `Polynomial` at the end."""
-    xs = [Fraction(x) for x, _ in points]
-    coef = [Fraction(y) for _, y in points]
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = Polynomial([coef[-1]])
-    for k in range(n - 2, -1, -1):
-        poly = poly * Polynomial([-xs[k], 1]) + Polynomial([coef[k]])
-    return poly
-
-
-def sampled_magnitude_mismatch(n, m, j):
-    """The Budak magnitude mismatch interpolated from canonical magnitudes.
-
-    Each integer gamma sample is the denominator-minus-numerator u^j
-    coefficient of `budak_magnitude_closed`, both over their constant
-    terms; the polynomial through gamma = 1 .. 2 max(j, m) + 3 must keep
-    degree at most 2 max(j, m) and pass a held-out sample.
-    """
-    bound = 2 * max(j, m)
-
-    def mismatch_at(g):
-        mag = budak_magnitude_closed(BudakParams(m, n, g))
-        den, num = mag.denominator, mag.numerator
-        return den.coeff(j) / den.coeff(0) - num.coeff(j) / num.coeff(0)
-
-    samples = [Fraction(t) for t in range(1, bound + 4)]
-    poly = interpolate([(g, mismatch_at(g)) for g in samples])
-    if poly.degree > bound:
-        raise ArithmeticError("mismatch interpolation exceeded its degree bound")
-    if poly(Fraction(bound + 4)) != mismatch_at(Fraction(bound + 4)):
-        raise ArithmeticError("mismatch interpolation failed the held-out check")
-    return poly
 
 
 def _decimal_exponent(v):
@@ -529,103 +329,12 @@ def interval_mutual_exclusion(n, m, precision=9):
     return disjoint, above
 
 
-class _ZeroPivot(Exception):
-    def __init__(self, rows_so_far: list[list[Fraction]], row_index: int):
-        self.rows_so_far = rows_so_far
-        self.row_index = row_index
-
-
-def _continuation_rows(p: Polynomial) -> tuple[list[list[Fraction]], list[int]]:
-    """All n+1 rows of the array, zero rows replaced in place.
-
-    Raises _ZeroPivot on a zero leading entry in a nonzero row.
-    """
-    n = p.degree
-    width = n // 2 + 1
-    degenerate: list[int] = []
-
-    def build_row(top_power: int, coeffs: Sequence[Fraction]) -> list[Fraction]:
-        row = [Fraction(0)] * width
-        for j in range(width):
-            power = top_power - 2 * j
-            if power < 0:
-                break
-            row[j] = coeffs[power] if power < len(coeffs) else Fraction(0)
-        return row
-
-    asc = list(p.coefficients)
-    rows = [build_row(n, asc), build_row(n - 1, asc)]
-    for i in range(1, n + 1):
-        row = rows[i]
-        if all(c == 0 for c in row):
-            degenerate.append(i)
-            above = rows[i - 1]
-            # derivative of the auxiliary polynomial of the row above:
-            # entry j sits at power (n - i) - 2j
-            rows[i] = [(n - i + 1 - 2 * j) * above[j] for j in range(width)]
-            row = rows[i]
-        if row[0] == 0:
-            raise _ZeroPivot(rows[: i + 1], i)
-        if i == n:
-            break
-        prev, prev2 = rows[i], rows[i - 1]
-        pivot = prev[0]
-        nxt = [
-            (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
-            if j + 1 < width
-            else Fraction(0)
-            for j in range(width)
-        ]
-        rows.append(nxt)
-    return rows, degenerate
-
-
-def _sign_changes(column: Sequence[Fraction]) -> int:
+def _sign_changes(column):
     changes = 0
     for a, b in zip(column, column[1:]):
         if (a > 0) != (b > 0):
             changes += 1
     return changes
-
-
-def continuation_routh_hurwitz(p: Polynomial) -> StabilityReport:
-    """The Routh classification with the (s + a) zero-pivot continuation.
-
-    Raises ArithmeticError when all 50 shifted products meet a zero pivot
-    again, as `s^4 - 81` and `s^5 - s` do.
-    """
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a nonzero polynomial of degree at least 1")
-    if p.leading < 0:
-        p = p * Fraction(-1)
-    try:
-        rows, degenerate = _continuation_rows(p)
-    except _ZeroPivot as zp:
-        return _classify_after_pivot(p, zp)
-    column = tuple(r[0] for r in rows)
-    changes = _sign_changes(column)
-    if changes > 0:
-        verdict = Verdict.NOT_HURWITZ
-    elif degenerate:
-        verdict = Verdict.MARGINAL
-    else:
-        verdict = Verdict.STRICT_HURWITZ
-    return StabilityReport(verdict, column, changes, tuple(degenerate))
-
-
-def _classify_after_pivot(p: Polynomial, zp: _ZeroPivot) -> StabilityReport:
-    """Resolve a zero-pivot degeneracy through the (s + a) product."""
-    partial = tuple(r[0] for r in zp.rows_so_far)
-    for a in range(1, 51):
-        shifted = p * Polynomial([a, 1])
-        try:
-            rows, _ = _continuation_rows(shifted)
-        except _ZeroPivot:
-            continue
-        changes = _sign_changes([r[0] for r in rows])
-        verdict = Verdict.NOT_HURWITZ if changes > 0 else Verdict.MARGINAL
-        return StabilityReport(verdict, partial, changes, (zp.row_index,))
-    raise ArithmeticError("zero-pivot continuation failed for 50 shift factors")
 
 
 def fraction_product(p, q):
@@ -760,73 +469,6 @@ def rational_routh_hurwitz(p):
     return StabilityReport(verdict, column, changes, tuple(degenerate))
 
 
-def _integer_routh_leading(p):
-    """The leading entries of all n+1 rows over the integers, every
-    degenerate row replaced in place: row i is T_i over d_i > 0, entry j
-    of the first two rows the numerator of the coefficient of s^(top - 2j)
-    over p's denominator, indexed from two row builds.
-
-    Returns the pairs (T_i[0], d_i), the indices of the zero rows, and the
-    index of the first zero pivot (None when there is none).
-    """
-    n = p.degree
-    width = n // 2 + 1
-    degenerate = []
-    first_pivot = None
-    nums, den = p.integer_form
-    above, row = (
-        [nums[top - 2 * j] if top >= 2 * j else 0 for j in range(width)] for top in (n, n - 1)
-    )
-    d_above = d_row = den
-    leading = [(above[0], den)]
-    for i in range(1, n + 1):
-        if not any(row):
-            degenerate.append(i)
-            row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
-            d_row = d_above
-        elif row[0] == 0:
-            if first_pivot is None:
-                first_pivot = i
-            k = next(j for j, c in enumerate(row) if c)
-            sign = (-1) ** k
-            row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
-        leading.append((row[0], d_row))
-        if i == n:
-            break
-        pivot, pivot_above = row[0], above[0]
-        nxt = [pivot * above[j + 1] - pivot_above * row[j + 1] for j in range(width - 1)]
-        nxt.append(0)
-        d_nxt = d_above * pivot
-        g = math.gcd(d_nxt, *nxt)
-        if d_nxt < 0:
-            g = -g
-        above, d_above = row, d_row
-        row, d_row = [c // g for c in nxt], d_nxt // g
-    return leading, degenerate, first_pivot
-
-
-def leading_pairs_routh_hurwitz(p):
-    """The integer Routh classification in two passes: every row's leading
-    pair first, then the sign changes and the column from that list."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a nonzero polynomial of degree at least 1")
-    if p.integer_form[0][-1] < 0:
-        p = -p
-    leading, degenerate, first_pivot = _integer_routh_leading(p)
-    changes = _sign_changes([t for t, _ in leading])
-    column = tuple([Fraction(t, d) for t, d in leading])
-    if first_pivot is not None:
-        column = column[:first_pivot] + (Fraction(0),)
-        degenerate = [first_pivot]
-    if changes > 0:
-        verdict = Verdict.NOT_HURWITZ
-    elif degenerate:
-        verdict = Verdict.MARGINAL
-    else:
-        verdict = Verdict.STRICT_HURWITZ
-    return StabilityReport(verdict, column, changes, tuple(degenerate))
-
-
 _U = Polynomial([0, 1])
 
 
@@ -852,6 +494,11 @@ def fraction_group_delay(tf):
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = fraction_phase_slope(tf.denominator)
     nn, nd = fraction_phase_slope(tf.numerator)
+    # an even side has slope 0, and its |P|^2 would be a common factor
+    if nn.is_zero:
+        return EvenRationalFunction(dn, dd)
+    if dn.is_zero:
+        return EvenRationalFunction(-nn, nd)
     return EvenRationalFunction(dn * nd - nn * dd, dd * nd)
 
 
@@ -998,28 +645,6 @@ def deviation_polynomial_flatness(f, max_terms=None, quantity=None):
     return FlatnessReport(value, order, leading, quantity)
 
 
-def fraction_scan_flatness(f, max_terms=None, quantity=None):
-    """`flatness` by scanning num_k against f(0)*den_k as `Fraction`s, one
-    coefficient at a time; the first pair that differs gives the order,
-    and their difference over den(0) the leading deviation."""
-    num, den = f.numerator, f.denominator
-    if max_terms is None:
-        max_terms = 2 * (max(num.degree, 0) + den.degree) + 4
-    value = f.at_origin()
-    for order in range(1, max(num.degree, den.degree) + 1):
-        scaled = value * den.coeff(order)
-        if num.coeff(order) != scaled:
-            break
-    else:
-        raise FlatBeyondHorizon(
-            f"no deviation within {max_terms} terms: function is constant"
-        )
-    if order >= max_terms:
-        raise FlatBeyondHorizon(f"first deviation at u^{order} exceeds the horizon")
-    leading = (num.coeff(order) - scaled) / den.coeff(0)
-    return FlatnessReport(value, order, leading, quantity)
-
-
 def canonical_delay_flatness(tf):
     """`delay_flatness` as the flatness of the canonical group delay."""
     return flatness(group_delay(tf), quantity=Quantity.DELAY)
@@ -1033,15 +658,30 @@ def routh_minimum_phase(tf):
     return routh_hurwitz(tf.numerator).verdict in (Verdict.STRICT_HURWITZ, Verdict.MARGINAL)
 
 
+def _deviation_report(f, quantity):
+    """`deviation_polynomial_flatness` of f, or order None and leading
+    deviation 0 when the deviation num - f(0)*den is exactly 0."""
+    value = f.at_origin()
+    if (f.numerator - value * f.denominator).is_zero:
+        return FlatnessReport(value, None, Fraction(0), quantity)
+    return deviation_polynomial_flatness(f, quantity=quantity)
+
+
 def canonical_design_report(tf, provenance):
-    """`cli.design_report` with the delay flatness read off the canonical
-    group delay, an exactly constant delay reported with order None, and
-    the minimum phase read off the full Routh array."""
+    """`cli.design_report` with both flatness reports read off the deviation
+    polynomials of the canonical group delay and squared magnitude, and the
+    minimum phase off the full Routh array. A constant denominator has no
+    poles: StrictHurwitz, with first column (d0,)."""
+    den = tf.denominator
+    if den.degree == 0:
+        stability = StabilityReport(Verdict.STRICT_HURWITZ, (den.coeff(0),), 0, ())
+    else:
+        stability = routh_hurwitz(den)
     return DesignReport(
         tf,
-        _pole_stability(tf),
-        _flatness_or_constant(group_delay(tf), Quantity.DELAY),
-        _flatness_or_constant(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
+        stability,
+        _deviation_report(group_delay(tf), Quantity.DELAY),
+        _deviation_report(magnitude_squared(tf), Quantity.MAGNITUDE_SQUARED),
         routh_minimum_phase(tf),
         provenance,
     )

@@ -328,11 +328,11 @@ def test_interpolate_matches_the_polynomial_per_step_assembly():
     for _ in range(10):
         xs = rng.sample(sorted({F(p, q) for p in range(-12, 13) for q in (1, 2, 3, 7)}), rng.randint(1, 9))
         cases.append([(x, F(rng.randint(-99, 99), rng.randint(1, 20))) for x in xs])
+    # through every point with degree below their number: the unique interpolant
     for points in cases:
-        got, want = interpolate(points), _oracles.polynomial_horner_interpolate(points)
-        assert got == want, points
-        assert repr(got) == repr(want), points
+        got = interpolate(points)
         assert all(got(F(x)) == F(y) for x, y in points), points
+        assert got.degree < len(points), points
 
 
 def test_int_nth_root():

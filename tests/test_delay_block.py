@@ -1,28 +1,12 @@
-"""The Budak delay block against its term-by-term and interpolation
-oracles, and its check points."""
+"""The Budak delay block's check points: a block that disagrees with the
+group delay of `budak_tf` at any check point raises."""
 
 from fractions import Fraction as F
 
 import pytest
 
-import _oracles
 from besselpade import budak
 from besselpade.budak import BudakParams, delay_gamma_polynomials
-
-
-def test_delay_block_matches_term_by_term_oracle():
-    # every pair compare and the order-2 certificate run on, up to (16, 15)
-    for n in range(1, 17):
-        for m in range(1, n + 1):
-            block, want = delay_gamma_polynomials(m, n), _oracles.term_by_term_delay_block(m, n)
-            assert block == want, (m, n)
-            assert repr(block) == repr(want), (m, n)
-
-
-def test_delay_block_matches_interpolation_oracle():
-    for n in range(1, 11):
-        for m in range(1, n + 1):
-            assert delay_gamma_polynomials(m, n) == _oracles.interpolated_delay_block(m, n), (m, n)
 
 
 def _shift_gamma_at(monkeypatch, shifted):

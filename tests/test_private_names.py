@@ -4,8 +4,7 @@ into another's.
 Tests exercise the public API only, so internals stay free to change. The
 check walks every test module's AST: an import of a private module or
 name from besselpade, and an attribute or getattr/setattr of a private
-name on a name bound to a besselpade import, are reported. Test helpers
-in tests/_oracles.py are exempt.
+name on a name bound to a besselpade import, are reported.
 
 Inside the package, two rules hold without exception. No module imports
 a `_`-name from a sibling (`from ._intpoly import convolve` is fine: the
@@ -52,8 +51,6 @@ def private_attribute_reads(tree):
 def private_uses():
     bad = []
     for path in sorted(TESTS.rglob("*.py")):
-        if path.name == "_oracles.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
         bound = set()  # local names bound to besselpade imports
         for node in ast.walk(tree):

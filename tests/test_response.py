@@ -465,12 +465,12 @@ def test_flatness_matches_the_fraction_scan_oracle():
         tf, _ = source_tf(spec)
         for f in (group_delay(tf), magnitude_squared(tf)):
             got = flatness_outcome(flatness, f)
-            assert got == flatness_outcome(_oracles.fraction_scan_flatness, f), (spec, f)
+            assert got == flatness_outcome(_oracles.deviation_polynomial_flatness, f), (spec, f)
             raised += isinstance(got, str)
     # the magnitudes of the all-pass pade:n,n, and the delay of pade:0,0
     assert raised == 26
     constant = EvenRationalFunction(Polynomial([F(3, 2), 3]), Polynomial([1, 2]))
-    for fn in (flatness, _oracles.fraction_scan_flatness):
+    for fn in (flatness, _oracles.deviation_polynomial_flatness):
         with pytest.raises(FlatBeyondHorizon, match="function is constant"):
             fn(constant)
 

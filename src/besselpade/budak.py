@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .core import (
     Enclosure,
     Polynomial,
@@ -73,23 +73,25 @@ from .stability import Verdict, routh_hurwitz
 Gamma = Union[Fraction, int, str, QuadSurd]
 
 
-@dataclass(frozen=True)
-class BudakParams:
-    """Numerator degree m, denominator degree n, shape parameter gamma."""
+class BudakParams(Record):
+    """Numerator degree m, denominator degree n, shape parameter gamma.
 
-    m: int
-    n: int
-    gamma: Union[Fraction, QuadSurd]
+    A gamma that is not a `QuadSurd` is stored as a `Fraction`.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.gamma, QuadSurd):
-            object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if self.n < 1:
+    __match_args__ = ("m", "n", "gamma")
+
+    def __init__(self, m: int, n: int, gamma: Union[Fraction, QuadSurd]) -> None:
+        if not isinstance(gamma, QuadSurd):
+            gamma = Fraction(gamma)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gamma", gamma)
+        if n < 1:
             raise ValueError("denominator degree must be at least 1")
-        if not 0 <= self.m <= self.n:
+        if not 0 <= m <= n:
             raise ValueError("numerator degree must satisfy 0 <= m <= n")
-        g = self.gamma
-        positive = g.compare_to_rational(0) > 0 if isinstance(g, QuadSurd) else g > 0
+        positive = gamma.compare_to_rational(0) > 0 if isinstance(gamma, QuadSurd) else gamma > 0
         if not positive:
             raise ValueError("gamma must be positive")
 
@@ -149,8 +151,7 @@ def coefficient_ratio(n: int, m: int, j: int) -> Fraction:
     return Fraction(b[j] * a[0], b[0] * a[j])
 
 
-@dataclass(frozen=True)
-class GammaSolutions:
+class GammaSolutions(Record):
     """Both solutions of (gamma/(gamma-1))^(2j) = A_j.
 
     branch_plus is gamma = r/(r+1), branch_minus is gamma = r/(r-1) with
@@ -158,12 +159,23 @@ class GammaSolutions:
     the pair is also carried exactly as quadratic surds.
     """
 
-    j: int
-    a_j: Fraction
-    branch_plus: Enclosure
-    branch_minus: Enclosure
-    precision: int
-    exact: Optional[tuple[QuadSurd, QuadSurd]] = None
+    __match_args__ = ("j", "a_j", "branch_plus", "branch_minus", "precision", "exact")
+
+    def __init__(
+        self,
+        j: int,
+        a_j: Fraction,
+        branch_plus: Enclosure,
+        branch_minus: Enclosure,
+        precision: int,
+        exact: Optional[tuple[QuadSurd, QuadSurd]] = None,
+    ) -> None:
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "a_j", a_j)
+        object.__setattr__(self, "branch_plus", branch_plus)
+        object.__setattr__(self, "branch_minus", branch_minus)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "exact", exact)
 
 
 def gamma_candidates(n: int, m: int, j: int, precision: int = 12) -> GammaSolutions:
@@ -198,17 +210,19 @@ def gamma_candidates(n: int, m: int, j: int, precision: int = 12) -> GammaSoluti
     return GammaSolutions(j, a, plus, minus, precision, exact)
 
 
-@dataclass(frozen=True)
-class Order2Gamma:
+class Order2Gamma(Record):
     """Roots of q(gamma) = 2(n-m) gamma^2 - 2(2n-1) gamma + (2n-1).
 
     gamma_plus takes the + sign on the radical; gamma_minus the - sign.
     They always straddle 1 (q(1) = 1 - 2m < 0 for m >= 1).
     """
 
-    gamma_plus: QuadSurd
-    gamma_minus: QuadSurd
-    quadratic: Polynomial
+    __match_args__ = ("gamma_plus", "gamma_minus", "quadratic")
+
+    def __init__(self, gamma_plus: QuadSurd, gamma_minus: QuadSurd, quadratic: Polynomial) -> None:
+        object.__setattr__(self, "gamma_plus", gamma_plus)
+        object.__setattr__(self, "gamma_minus", gamma_minus)
+        object.__setattr__(self, "quadratic", quadratic)
 
 
 def gamma_order2(n: int, m: int) -> Order2Gamma:
@@ -246,17 +260,36 @@ def magnitude_gamma_mismatch(n: int, m: int, j: int) -> Polynomial:
     return interpolate(list(enumerate(samples)))
 
 
-@dataclass(frozen=True)
-class MutualExclusionReport:
+class MutualExclusionReport(Record):
     """Certified separation of the gamma candidate sets across j."""
 
-    n: int
-    m: int
-    precision: int
-    candidates: tuple[GammaSolutions, ...]
-    pairs_checked: tuple[tuple[int, int], ...]
-    all_disjoint: bool
-    all_above_half: bool
+    __match_args__ = (
+        "n",
+        "m",
+        "precision",
+        "candidates",
+        "pairs_checked",
+        "all_disjoint",
+        "all_above_half",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        precision: int,
+        candidates: tuple[GammaSolutions, ...],
+        pairs_checked: tuple[tuple[int, int], ...],
+        all_disjoint: bool,
+        all_above_half: bool,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "all_disjoint", all_disjoint)
+        object.__setattr__(self, "all_above_half", all_above_half)
 
 
 def mutual_exclusion(n: int, m: int, precision: int = 9) -> MutualExclusionReport:
@@ -278,8 +311,7 @@ def mutual_exclusion(n: int, m: int, precision: int = 9) -> MutualExclusionRepor
     return MutualExclusionReport(n, m, precision, cands, pairs, disjoint, above)
 
 
-@dataclass(frozen=True)
-class DelayCoefficientPolys:
+class DelayCoefficientPolys(Record):
     """Group-delay coefficients as integer polynomials in gamma.
 
     numerator_polys[i-1] is the u^i numerator coefficient, likewise for
@@ -291,11 +323,21 @@ class DelayCoefficientPolys:
     reflecting delay flatness of order m.
     """
 
-    m: int
-    n: int
-    numerator_polys: tuple[Polynomial, ...]
-    denominator_polys: tuple[Polynomial, ...]
-    scale: Fraction
+    __match_args__ = ("m", "n", "numerator_polys", "denominator_polys", "scale")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        numerator_polys: tuple[Polynomial, ...],
+        denominator_polys: tuple[Polynomial, ...],
+        scale: Fraction,
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numerator_polys", numerator_polys)
+        object.__setattr__(self, "denominator_polys", denominator_polys)
+        object.__setattr__(self, "scale", scale)
 
     def a(self, i: int) -> Polynomial:
         if not 1 <= i <= len(self.numerator_polys):
@@ -433,8 +475,7 @@ def delay_flatness_order_budak(params: BudakParams) -> FlatnessReport:
     return delay_flatness(budak_tf(params))
 
 
-@dataclass(frozen=True)
-class Order2Certificate:
+class Order2Certificate(Record):
     """Exact facts about the approximant at the order-2 gamma surds.
 
     Built entirely from rational arithmetic: divisibility of mismatch
@@ -443,19 +484,51 @@ class Order2Certificate:
     gamma never enters a transfer function.
     """
 
-    n: int
-    m: int
-    gammas: Order2Gamma
-    u1_divisible_by_q: bool
-    u2_coprime_to_q: bool
-    magnitude_order: Optional[int]
-    delay_lower_orders_match: bool
-    delay_mth_coprime_to_q: bool
-    delay_order: Optional[int]
-    denominator_verdict: Verdict
-    numerator_verdict: Verdict
-    minimum_phase_plus: bool
-    minimum_phase_minus: bool
+    __match_args__ = (
+        "n",
+        "m",
+        "gammas",
+        "u1_divisible_by_q",
+        "u2_coprime_to_q",
+        "magnitude_order",
+        "delay_lower_orders_match",
+        "delay_mth_coprime_to_q",
+        "delay_order",
+        "denominator_verdict",
+        "numerator_verdict",
+        "minimum_phase_plus",
+        "minimum_phase_minus",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        gammas: Order2Gamma,
+        u1_divisible_by_q: bool,
+        u2_coprime_to_q: bool,
+        magnitude_order: Optional[int],
+        delay_lower_orders_match: bool,
+        delay_mth_coprime_to_q: bool,
+        delay_order: Optional[int],
+        denominator_verdict: Verdict,
+        numerator_verdict: Verdict,
+        minimum_phase_plus: bool,
+        minimum_phase_minus: bool,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "u1_divisible_by_q", u1_divisible_by_q)
+        object.__setattr__(self, "u2_coprime_to_q", u2_coprime_to_q)
+        object.__setattr__(self, "magnitude_order", magnitude_order)
+        object.__setattr__(self, "delay_lower_orders_match", delay_lower_orders_match)
+        object.__setattr__(self, "delay_mth_coprime_to_q", delay_mth_coprime_to_q)
+        object.__setattr__(self, "delay_order", delay_order)
+        object.__setattr__(self, "denominator_verdict", denominator_verdict)
+        object.__setattr__(self, "numerator_verdict", numerator_verdict)
+        object.__setattr__(self, "minimum_phase_plus", minimum_phase_plus)
+        object.__setattr__(self, "minimum_phase_minus", minimum_phase_minus)
 
 
 def order2_certificate(n: int, m: int) -> Order2Certificate:

@@ -17,11 +17,10 @@ import math
 import os
 import shutil
 import sys
-import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import Record
 from .budak import BudakParams, budak_tf, gamma_order2, order2_certificate
 from .core import EvenRationalFunction, Polynomial, TransferFunction, surd_to_float
 from .gbp import GbpParams, classical_bessel, gbp
@@ -95,14 +94,26 @@ def _emit_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignReport:
-    tf: TransferFunction
-    stability: StabilityReport
-    delay: FlatnessReport
-    magnitude: FlatnessReport
-    minimum_phase: bool
-    provenance: dict
+class DesignReport(Record):
+    """What a design report prints about one transfer function."""
+
+    __match_args__ = ("tf", "stability", "delay", "magnitude", "minimum_phase", "provenance")
+
+    def __init__(
+        self,
+        tf: TransferFunction,
+        stability: StabilityReport,
+        delay: FlatnessReport,
+        magnitude: FlatnessReport,
+        minimum_phase: bool,
+        provenance: dict,
+    ) -> None:
+        object.__setattr__(self, "tf", tf)
+        object.__setattr__(self, "stability", stability)
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "magnitude", magnitude)
+        object.__setattr__(self, "minimum_phase", minimum_phase)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def minimum_phase(tf: TransferFunction) -> bool:
@@ -378,8 +389,14 @@ def _cmd_analyze(args, precision: int) -> int:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".besselpade-")
+    """Write text to path through a fresh file in the same directory and a
+    rename. The file is created with mode 0o666 under O_EXCL, so the
+    kernel applies the umask: path gets the mode a plain open(path, "w")
+    gives a new file, whether it is new or replaced."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".besselpade-{os.urandom(8).hex()}")
+    # O_BINARY, where it exists, keeps the LF line endings
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

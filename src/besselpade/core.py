@@ -30,11 +30,11 @@ exactly what `str(Fraction)` produces and `Fraction(str)` parses back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from ._intpoly import convolve, derivative, int_add, square
+from ._record import Record
 
 Coefficient = Union[Fraction, int, str]
 
@@ -656,15 +656,15 @@ def interpolate(points: Sequence[tuple[Coefficient, Coefficient]]) -> Polynomial
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __match_args__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if lo > hi:
             raise ValueError("empty enclosure")
 
     @property

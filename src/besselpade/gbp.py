@@ -26,29 +26,28 @@ every later term, as it does in the backward factorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .core import Polynomial
 
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
-class GbpParams:
-    """Degree and the two real shape parameters."""
+class GbpParams(Record):
+    """Degree and the two real shape parameters, stored as `Fraction`s."""
 
-    n: int
-    alpha: Fraction
-    beta: Fraction
+    __match_args__ = ("n", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.n < 0:
+    def __init__(self, n: int, alpha: Fraction, beta: Fraction) -> None:
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if n < 0:
             raise ValueError("degree must be non-negative")
-        if self.beta == 0:
+        if beta == 0:
             raise ValueError("beta must be nonzero")
 
 

@@ -28,9 +28,9 @@ deviates from zero at the s^(n+m+1) term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .core import (
     Polynomial,
     TransferFunction,
@@ -40,15 +40,15 @@ from .core import (
 from .gbp import gbp_of
 
 
-@dataclass(frozen=True)
-class PadeIndex:
+class PadeIndex(Record):
     """Denominator degree n, numerator degree m."""
 
-    n: int
-    m: int
+    __match_args__ = ("n", "m")
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
+    def __init__(self, n: int, m: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        if n < 0 or m < 0:
             raise ValueError("degrees must be non-negative")
 
 

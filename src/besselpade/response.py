@@ -40,11 +40,11 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from ._intpoly import convolve, derivative, int_add
+from ._record import Record
 from .core import EvenRationalFunction, Polynomial, TransferFunction
 
 # (value, pole_adjacent) of one sample point
@@ -67,8 +67,7 @@ class FlatBeyondHorizon(ArithmeticError):
     """Deviation from the origin value has no nonzero term within the horizon."""
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(Record):
     """Leading behavior of a quantity near omega = 0.
 
     The deviation f(u) - value_at_origin begins exactly with
@@ -76,10 +75,19 @@ class FlatnessReport:
     marks an exactly constant quantity; `flatness` itself raises on one.
     """
 
-    value_at_origin: Fraction
-    order: Optional[int]
-    leading_deviation: Fraction
-    quantity: Optional[Quantity] = None
+    __match_args__ = ("value_at_origin", "order", "leading_deviation", "quantity")
+
+    def __init__(
+        self,
+        value_at_origin: Fraction,
+        order: Optional[int],
+        leading_deviation: Fraction,
+        quantity: Optional[Quantity] = None,
+    ) -> None:
+        object.__setattr__(self, "value_at_origin", value_at_origin)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "leading_deviation", leading_deviation)
+        object.__setattr__(self, "quantity", quantity)
 
 
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
@@ -199,11 +207,18 @@ def magnitude_flatness(tf: TransferFunction) -> FlatnessReport:
     return flatness(magnitude_squared(tf), quantity=Quantity.MAGNITUDE_SQUARED)
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    omega: float
-    value: Union[float, complex]
-    pole_adjacent: bool = False
+class SamplePoint(Record):
+    """One point of `sample`: omega, the value there, and whether it lies
+    next to a pole."""
+
+    __match_args__ = ("omega", "value", "pole_adjacent")
+
+    def __init__(
+        self, omega: float, value: Union[float, complex], pole_adjacent: bool = False
+    ) -> None:
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "pole_adjacent", pole_adjacent)
 
 
 def sample(

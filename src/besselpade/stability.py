@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .core import Polynomial
 from .gbp import GbpParams, gbp
 from .pade import PadeIndex, pade_exp
@@ -63,8 +63,7 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Outcome of one classification.
 
     sign_changes counts the sign changes down the leading column of the
@@ -74,10 +73,19 @@ class StabilityReport:
     ending at the zero entry, and degenerate_rows names that row alone.
     """
 
-    verdict: Verdict
-    routh_first_column: tuple[Fraction, ...]
-    sign_changes: int
-    degenerate_rows: tuple[int, ...]
+    __match_args__ = ("verdict", "routh_first_column", "sign_changes", "degenerate_rows")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        routh_first_column: tuple[Fraction, ...],
+        sign_changes: int,
+        degenerate_rows: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "routh_first_column", routh_first_column)
+        object.__setattr__(self, "sign_changes", sign_changes)
+        object.__setattr__(self, "degenerate_rows", degenerate_rows)
 
 
 def routh_hurwitz(p: Polynomial) -> StabilityReport:
@@ -150,14 +158,18 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     return StabilityReport(verdict, tuple(column), changes, tuple(degenerate))
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(Record):
     """Grid sweep outcome; the contract is an empty violation list."""
 
-    checked: int
-    violations: tuple[tuple[int, Fraction, Fraction, Verdict], ...] = field(
-        default_factory=tuple
-    )
+    __match_args__ = ("checked", "violations")
+
+    def __init__(
+        self,
+        checked: int,
+        violations: tuple[tuple[int, Fraction, Fraction, Verdict], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -14,6 +14,7 @@ from besselpade.core import (
 )
 from besselpade.budak import (
     BudakParams,
+    GammaSolutions,
     budak_magnitude_closed,
     budak_params,
     budak_tf,
@@ -62,6 +63,29 @@ def test_params_validation():
         budak_params(0, 0, 1)
     p = budak_params(2, 3, "7/3")
     assert p.rational_gamma() == F(7, 3)
+
+
+def test_params_messages_and_gamma_coercion():
+    for args, message in [
+        ((0, 0, 1), "denominator degree must be at least 1"),
+        ((4, 3, 1), "numerator degree must satisfy 0 <= m <= n"),
+        ((2, 3, 0), "gamma must be positive"),
+        ((2, 3, QuadSurd(F(1, 2), -1, 2)), "gamma must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BudakParams(*args)
+    p = BudakParams(m=2, n=3, gamma="7/3")
+    assert type(p.gamma) is F and p == BudakParams(2, 3, F(7, 3))
+    assert repr(p) == "BudakParams(m=2, n=3, gamma=Fraction(7, 3))"
+    root15 = QuadSurd(F(5, 2), F(1, 2), 15)
+    assert BudakParams(2, 3, root15).gamma is root15
+
+
+def test_gamma_solutions_default_to_no_exact_pair():
+    j1, j2 = gamma_candidates(5, 3, 1), gamma_candidates(5, 3, 2)
+    assert j1.exact is not None and j2.exact is None
+    fields = {name: getattr(j1, name) for name in j1.__match_args__ if name != "exact"}
+    assert GammaSolutions(**fields).exact is None
 
 
 def test_irrational_gamma_blocked_from_tf():

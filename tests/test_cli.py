@@ -524,6 +524,36 @@ def test_sweep_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_sweep_output_file_takes_the_umask(tmp_path, capsys):
+    # a new file and a replaced one both get 0o666 minus the umask, the
+    # mode a plain open(path, "w") gives a new file
+    target = tmp_path / "out.csv"
+    argv = ["sweep", "--source", "pade:2,1", "--omega-max", "1", "--points", "3", "--output", str(target)]
+    old = os.umask(0o022)
+    try:
+        for _ in ("new", "replaced"):
+            code, _, err = run(capsys, argv)
+            assert code == 0, err
+            assert target.stat().st_mode & 0o777 == 0o644
+    finally:
+        os.umask(old)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
+    # what `site` preloaded before the import is not the package's doing
+    code = (
+        "import sys; before = set(sys.modules); import besselpade.cli; "
+        "besselpade.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_sweep_flags_pole_adjacent_rows(tmp_path, capsys):
     path = tmp_path / "osc.json"
     path.write_text(json.dumps({"num": ["1"], "den": ["1", "0", "1"]}))

@@ -2,15 +2,27 @@
 
 Covers: polynomial ring laws, division and gcd, canonical rational
 functions, truncated series division, exact interpolation, quadratic
-surds and correctly rounded decimal rendering.
+surds and correctly rounded decimal rendering, and the value semantics
+every value class of the package shares.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import _oracles
+from besselpade.budak import (
+    BudakParams,
+    delay_gamma_polynomials,
+    gamma_candidates,
+    gamma_order2,
+    mutual_exclusion,
+    order2_certificate,
+)
+from besselpade.cli import design_report, source_tf
 from besselpade.core import (
     Enclosure,
     EvenRationalFunction,
@@ -27,6 +39,10 @@ from besselpade.core import (
     series_of_ratio,
     surd_to_float,
 )
+from besselpade.gbp import GbpParams
+from besselpade.pade import PadeIndex, pade_exp
+from besselpade.response import delay_flatness, sample
+from besselpade.stability import routh_hurwitz, theorem1_grid
 
 rng = random.Random(411017)
 
@@ -370,6 +386,99 @@ def test_enclosure_invariants():
     assert a.disjoint_from(b) and b.disjoint_from(a)
     assert not a.disjoint_from(Enclosure(F(1, 2), F(2)))
     assert a.contains(F(1, 2))
+
+
+def test_enclosure_rejects_an_empty_interval_by_name():
+    with pytest.raises(ValueError, match="^empty enclosure$"):
+        Enclosure(F(1), F(0))
+
+
+# one builder for each of the package's 14 value classes
+RECORDS = {
+    "BudakParams": lambda: BudakParams(2, 3, F(7, 3)),
+    "GammaSolutions": lambda: gamma_candidates(3, 2, 1),
+    "Order2Gamma": lambda: gamma_order2(3, 2),
+    "MutualExclusionReport": lambda: mutual_exclusion(3, 2),
+    "DelayCoefficientPolys": lambda: delay_gamma_polynomials(2, 3),
+    "Order2Certificate": lambda: order2_certificate(3, 2),
+    "DesignReport": lambda: design_report(*source_tf("pade:3,2")),
+    "Enclosure": lambda: Enclosure(F(1), F(2)),
+    "GbpParams": lambda: GbpParams(3, 1, 1),
+    "PadeIndex": lambda: PadeIndex(3, 2),
+    "FlatnessReport": lambda: delay_flatness(pade_exp(PadeIndex(3, 2))),
+    "SamplePoint": lambda: sample(pade_exp(PadeIndex(3, 2)), [0.5])[0],
+    "StabilityReport": lambda: routh_hurwitz(Polynomial([1, 2, 1])),
+    "Theorem1Report": lambda: theorem1_grid(2, [1], [1]),
+}
+
+
+@pytest.fixture(params=sorted(RECORDS))
+def record_pair(request):
+    """Two separately built records of one class with equal fields."""
+    make = RECORDS[request.param]
+    first, second = make(), make()
+    assert type(first).__name__ == request.param
+    assert first is not second
+    return first, second
+
+
+def test_records_compare_by_class_and_fields(record_pair):
+    a, b = record_pair
+    assert a == b and not a != b
+    if type(a).__name__ == "DesignReport":
+        # its provenance is a dict, so, as for the frozen dataclass it
+        # was, hashing it raises
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert a != tuple(getattr(a, name) for name in a.__match_args__)
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_records_refuse_assignment_and_deletion(record_pair):
+    a, _ = record_pair
+    for name in (*a.__match_args__, "unknown"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+
+
+def test_records_rebuild_from_their_fields_by_keyword(record_pair):
+    a, _ = record_pair
+    fields = {name: getattr(a, name) for name in a.__match_args__}
+    assert type(a)(**fields) == a
+    assert repr(a).startswith(f"{type(a).__qualname__}({a.__match_args__[0]}=")
+
+
+def test_records_survive_copy_and_pickle(record_pair):
+    a, _ = record_pair
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is type(a)
+        assert twin == a
+        assert repr(twin) == repr(a)
+    with pytest.raises(AttributeError):
+        setattr(pickle.loads(pickle.dumps(a)), a.__match_args__[0], 1)
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    assert PadeIndex(2, 3) != Enclosure(2, 3)
+    assert Enclosure(2, 3) != PadeIndex(2, 3)
+
+    class Index(PadeIndex):
+        pass
+
+    assert Index(3, 2) != PadeIndex(3, 2)
+    assert repr(Index(3, 2)).endswith(".<locals>.Index(n=3, m=2)")
+
+
+def test_records_match_class_patterns_by_position():
+    match Enclosure(F(1), F(2)):
+        case Enclosure(lo, hi):
+            assert (lo, hi) == (1, 2)
+        case _:
+            pytest.fail("no match")
 
 
 def test_quadsurd_normalization():

@@ -35,6 +35,17 @@ def test_params_validation():
     assert isinstance(p.alpha, F) and isinstance(p.beta, F)
 
 
+def test_params_messages_coercion_and_repr():
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        GbpParams(-1, 2, 1)
+    with pytest.raises(ValueError, match="^beta must be nonzero$"):
+        GbpParams(3, 2, "0/5")
+    p = GbpParams(n=3, alpha="1/2", beta=-2)
+    assert (type(p.alpha), type(p.beta)) == (F, F)
+    assert p == GbpParams(3, F(1, 2), F(-2))
+    assert repr(p) == "GbpParams(n=3, alpha=Fraction(1, 2), beta=Fraction(-2, 1))"
+
+
 def test_known_polynomials():
     assert gbp_of(3, 1, 1) == Polynomial([60, 36, 9, 1])
     assert gbp_of(3, 2, 2) == Polynomial([15, 15, 6, 1])

@@ -30,6 +30,14 @@ def test_index_validation():
     assert PadeIndex(3, 2).n == 3
 
 
+def test_index_message_keywords_and_repr():
+    with pytest.raises(ValueError, match="^degrees must be non-negative$"):
+        PadeIndex(n=2, m=-1)
+    assert PadeIndex(m=2, n=3) == PadeIndex(3, 2)
+    assert repr(PadeIndex(3, 2)) == "PadeIndex(n=3, m=2)"
+    assert {PadeIndex(3, 2), PadeIndex(3, 2), PadeIndex(2, 3)} == {PadeIndex(2, 3), PadeIndex(3, 2)}
+
+
 def test_printed_forms():
     tf = pe(3, 2)
     assert str(tf) == "(3 s^2 - 24 s + 60) / (s^3 + 9 s^2 + 36 s + 60)"

@@ -18,7 +18,9 @@ from besselpade.gbp import gbp_of
 from besselpade.pade import PadeIndex, pade_exp
 from besselpade.response import (
     FlatBeyondHorizon,
+    FlatnessReport,
     Quantity,
+    SamplePoint,
     delay_flatness,
     flatness,
     group_delay,
@@ -141,6 +143,21 @@ def test_flatness_fixtures():
     assert rep.order == 3
     assert rep.leading_deviation == F(-1, 3600)
     assert rep.quantity is Quantity.MAGNITUDE_SQUARED
+
+
+def test_report_and_point_reprs_and_defaults():
+    assert repr(delay_flatness(pe(3, 2))) == (
+        "FlatnessReport(value_at_origin=Fraction(1, 1), order=3, "
+        "leading_deviation=Fraction(-1, 6000), quantity=<Quantity.DELAY: 'Delay'>)"
+    )
+    rep = FlatnessReport(value_at_origin=F(2), order=None, leading_deviation=F(0))
+    assert rep.quantity is None
+    assert rep == FlatnessReport(F(2), None, F(0), None)
+    assert rep != FlatnessReport(F(2), None, F(0), Quantity.DELAY)
+    point = SamplePoint(omega=0.5, value=1.0)
+    assert point.pole_adjacent is False
+    assert repr(point) == "SamplePoint(omega=0.5, value=1.0, pole_adjacent=False)"
+    assert sample(pe(1, 0), [0.0]) == [SamplePoint(0.0, 1 + 0j, False)]
 
 
 def test_flatness_constant_raises():

@@ -187,6 +187,18 @@ def test_grid_guarantee_holds():
     assert report.checked == 8 * 5 * 4
 
 
+def test_report_reprs_and_the_empty_violation_default():
+    assert repr(routh_hurwitz(Polynomial([60, 36, 9, 1]))) == (
+        "StabilityReport(verdict=<Verdict.STRICT_HURWITZ: 'StrictHurwitz'>, "
+        "routh_first_column=(Fraction(1, 1), Fraction(9, 1), Fraction(88, 3), Fraction(60, 1)), "
+        "sign_changes=0, degenerate_rows=())"
+    )
+    empty = Theorem1Report(checked=0)
+    assert empty.violations == () and empty.ok
+    assert repr(empty) == "Theorem1Report(checked=0, violations=())"
+    assert empty == Theorem1Report(0, ())
+
+
 def test_grid_rejects_bad_parameters():
     with pytest.raises(ValueError):
         theorem1_grid(3, [-1, 0], [1])

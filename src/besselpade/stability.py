@@ -12,10 +12,12 @@ array starts with a positive entry. The rational recurrence
 becomes T_{i+1}[j] = T_i[0] T_{i-1}[j+1] - T_{i-1}[0] T_i[j+1] over
 d_{i+1} = d_{i-1} T_i[0], after which the gcd of d_{i+1} and the row is
 divided out and the sign of d_{i+1} moved into T_{i+1}. Every step is
-exact, so R_i[0] is exactly T_i[0] / d_i; only that column is built as
-Fractions, and since d_i > 0 its signs are those of the integers T_i[0].
-Each row's column entry and sign change are taken as the row is
-produced, so the pass keeps no list of rows or leading entries.
+exact, so R_i[0] is exactly T_i[0] / d_i, and since d_i > 0 its signs
+are those of the integers T_i[0]. Each row's sign change is taken as the
+row is produced, and the pass keeps no list of rows: it keeps only the
+integer pairs (T_i[0], d_i) of the leading column, which the report
+turns into Fractions when its column is first read. A classification
+that is asked only for its verdict forms no Fraction at all.
 Two degeneracies are rewritten in place, on the integers alone (a zero
 row takes the denominator of the row above, a zero pivot keeps its own),
 so every row keeps its full degree and a nonzero leading entry:
@@ -44,6 +46,7 @@ Marginal (roots on the imaginary axis, none strictly right), NotHurwitz.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -71,9 +74,18 @@ class StabilityReport(Record):
     the number of right-half-plane roots. routh_first_column is that
     column, except when a zero pivot interrupts it: then it is partial,
     ending at the zero entry, and degenerate_rows names that row alone.
+
+    The constructor stores the column it is given. A report from
+    `routh_hurwitz` holds the column as integer pairs instead, and forms
+    the Fractions when routh_first_column is first read, by `==`, `hash`,
+    `repr` and class patterns too; it keeps that tuple and returns it
+    from then on. Two threads racing to fill it store equal tuples.
     """
 
     __match_args__ = ("verdict", "routh_first_column", "sign_changes", "degenerate_rows")
+
+    # the integer pairs (T_i[0], d_i) of a report from routh_hurwitz
+    _column_pairs = ()
 
     def __init__(
         self,
@@ -86,6 +98,27 @@ class StabilityReport(Record):
         object.__setattr__(self, "routh_first_column", routh_first_column)
         object.__setattr__(self, "sign_changes", sign_changes)
         object.__setattr__(self, "degenerate_rows", degenerate_rows)
+
+    # a non-data descriptor: the tuple the constructor or the first read
+    # stores in the instance is found before it
+    @functools.cached_property
+    def routh_first_column(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(p) if d == 1 else Fraction(p, d) for p, d in self._column_pairs])
+
+
+def _report(
+    verdict: Verdict,
+    column_pairs: list[tuple[int, int]],
+    sign_changes: int,
+    degenerate_rows: tuple[int, ...],
+) -> StabilityReport:
+    """A report whose column is formed from its pairs on first read."""
+    report = object.__new__(StabilityReport)
+    object.__setattr__(report, "verdict", verdict)
+    object.__setattr__(report, "_column_pairs", column_pairs)
+    object.__setattr__(report, "sign_changes", sign_changes)
+    object.__setattr__(report, "degenerate_rows", degenerate_rows)
+    return report
 
 
 def routh_hurwitz(p: Polynomial) -> StabilityReport:
@@ -103,7 +136,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     if nums[-1] < 0:
         above, row = [-c for c in above], [-c for c in row]
     d_above = d_row = den
-    column = [Fraction(above[0]) if d_above == 1 else Fraction(above[0], d_above)]
+    column = [(above[0], d_above)]
     # the leading entry of the first row is positive, and d_i > 0, so the
     # column entry T_i[0] / d_i has the sign of the integer T_i[0]
     positive = True
@@ -123,7 +156,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
                 if first_pivot is None:
                     # the reported column ends at the zero entry
                     first_pivot = i
-                    column.append(Fraction(0))
+                    column.append((0, 1))
                 # k leading zeros: multiply the row by 1 + (-s^2)^k
                 k = next(j for j, c in enumerate(row) if c)
                 sign = (-1) ** k
@@ -133,7 +166,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
             positive = not positive
             changes += 1
         if first_pivot is None:
-            column.append(Fraction(pivot) if d_row == 1 else Fraction(pivot, d_row))
+            column.append((pivot, d_row))
         if i == n:
             break
         # R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
@@ -155,7 +188,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         verdict = Verdict.MARGINAL
     else:
         verdict = Verdict.STRICT_HURWITZ
-    return StabilityReport(verdict, tuple(column), changes, tuple(degenerate))
+    return _report(verdict, column, changes, tuple(degenerate))
 
 
 class Theorem1Report(Record):
@@ -181,12 +214,14 @@ def theorem1_grid(
     alphas: Sequence[Fraction | int],
     betas: Sequence[Fraction | int],
 ) -> Theorem1Report:
-    """Sweep the Hurwitz guarantee for alpha >= 0, beta > 0.
+    """Sweep the Hurwitz guarantee for 1 <= n <= n_max, alpha >= 0, beta > 0.
 
     Every grid point with alpha > 0, or alpha = 0 with n >= 2, must come
     out StrictHurwitz. The boundary point (n = 1, alpha = 0) yields the
     bare monomial s and is allowed Marginal, never NotHurwitz.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
     alphas = [Fraction(a) for a in alphas]
     betas = [Fraction(b) for b in betas]
     if any(a < 0 for a in alphas):

@@ -347,6 +347,43 @@ def test_analyze_file_source(tmp_path, capsys):
     assert tf == TransferFunction(Polynomial([1]), Polynomial([1, 1]))
 
 
+@pytest.mark.parametrize(
+    "den, stability, line",
+    [
+        # s^4 + 1: a zero pivot in row 2 ends the column at 0
+        (
+            [1, 0, 0, 0, 1],
+            {
+                "verdict": "NotHurwitz",
+                "routh_first_column": ["1", "4", "0"],
+                "sign_changes": 2,
+                "degenerate_rows": [2],
+            },
+            "stability: NotHurwitz (first column 1, 4, 0; sign changes 2)",
+        ),
+        # (s + 1)(s^2 + 4): a zero row in row 2, replaced by a derivative
+        (
+            [4, 4, 1, 1],
+            {
+                "verdict": "Marginal",
+                "routh_first_column": ["1", "1", "2", "4"],
+                "sign_changes": 0,
+                "degenerate_rows": [2],
+            },
+            "stability: Marginal (first column 1, 1, 2, 4; sign changes 0)",
+        ),
+    ],
+)
+def test_analyze_prints_degenerate_stability_blocks(tmp_path, capsys, den, stability, line):
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps({"num": [1], "den": den}))
+    payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    assert payload["stability"] == stability
+    code, out, err = run(capsys, ["analyze", "--source", f"file:{path}"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == line
+
+
 def test_analyze_file_errors(tmp_path, capsys):
     code, _, _ = run(capsys, ["analyze", "--source", "file:/no/such/file.json"])
     assert code == 2

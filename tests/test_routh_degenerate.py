@@ -5,12 +5,16 @@ right-half-plane roots is known exactly and `sign_changes` must equal it.
 Every report must be identical to the same one-pass array run over Q.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import _oracles
 from besselpade.core import Polynomial
-from besselpade.stability import Verdict, routh_hurwitz
+from besselpade.stability import StabilityReport, Verdict, routh_hurwitz
 
 
 def _factor(kind, a, b):
@@ -99,3 +103,43 @@ def test_reports_match_the_rational_array():
         pivots += has_zero_pivot(p, report)
         zero_rows += bool(report.degenerate_rows) and not has_zero_pivot(p, report)
     assert zero_rows >= 400 and pivots >= 400
+
+
+def test_an_unread_report_keeps_its_value_semantics():
+    # a report from routh_hurwitz forms its column on first read; until
+    # then it must copy, pickle, hash, match and refuse assignment exactly
+    # as a report built with the column
+    inputs = [
+        Polynomial([60, 36, 9, 1]),  # strict Hurwitz
+        Polynomial([3, 2]),  # degree 1
+        Polynomial([4, 4, 1, 1]),  # (s^2 + 4)(s + 1): a zero row
+        Polynomial([1, 0, 1]) ** 2,  # a repeated axis pair
+        Polynomial([1, 0, 0, 0, 1]),  # s^4 + 1: the partial column ends in 0
+        Polynomial([-60, -36, -9, -1]),  # a negative leading coefficient
+        Polynomial([F(2, 3), F(5, 2), F(7, 4), 1]),  # denominators above 1
+    ]
+    inputs += [p for seed in (77, 78, 79, 80) for p, _, _ in known_root_polys(seed, 50)]
+    for p in inputs:
+        eager = _oracles.rational_routh_hurwitz(p)  # built with its column
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            twin = clone(routh_hurwitz(p))
+            assert twin == eager and repr(twin) == repr(eager), p
+        report = routh_hurwitz(p)
+        assert report.routh_first_column is report.routh_first_column
+        report = routh_hurwitz(p)
+        before = hash(report)
+        report.routh_first_column  # the first read
+        assert hash(report) == before == hash(eager), p
+        match routh_hurwitz(p):
+            case StabilityReport(verdict, column, changes, rows):
+                assert (verdict, column, changes, rows) == (
+                    eager.verdict,
+                    eager.routh_first_column,
+                    eager.sign_changes,
+                    eager.degenerate_rows,
+                ), p
+            case _:
+                pytest.fail(f"no match for {p}")
+        for report in (routh_hurwitz(p), report):
+            with pytest.raises(AttributeError, match="cannot assign to field 'routh_first_column'"):
+                report.routh_first_column = eager.routh_first_column

@@ -204,6 +204,9 @@ def test_grid_rejects_bad_parameters():
         theorem1_grid(3, [-1, 0], [1])
     with pytest.raises(ValueError):
         theorem1_grid(3, [0, 1], [0])
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        theorem1_grid(-1, [1], [1])
+    assert theorem1_grid(0, [1], [1]) == Theorem1Report(0, ())
 
 
 def test_grid_boundary_point_is_marginal_not_violation():

@@ -1,8 +1,11 @@
 """The base of the package's immutable value classes, shared inside the package.
 
-A subclass names its fields once, in order, in `__match_args__`, so class
-patterns match them by position, and stores each in its own `__init__`
-with `object.__setattr__`. The base gives every subclass the value
+A subclass names its fields once, in order, as the positional parameters
+of its `__init__`. The base reads them off that constructor's code object
+into `__match_args__`, so class patterns match them by position. The
+constructor stores its arguments by calling `super().__init__(locals())`
+after any coercion; the base sets each field to the local of the same
+name with `object.__setattr__`. The base gives every subclass the value
 semantics of a frozen dataclass:
 
 - assigning or deleting an attribute raises `AttributeError`;
@@ -23,6 +26,16 @@ from __future__ import annotations
 
 class Record:
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def __init__(self, fields: dict) -> None:
+        for name in self.__match_args__:
+            object.__setattr__(self, name, fields[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -79,14 +79,10 @@ class BudakParams(Record):
     A gamma that is not a `QuadSurd` is stored as a `Fraction`.
     """
 
-    __match_args__ = ("m", "n", "gamma")
-
     def __init__(self, m: int, n: int, gamma: Union[Fraction, QuadSurd]) -> None:
         if not isinstance(gamma, QuadSurd):
             gamma = Fraction(gamma)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma", gamma)
+        super().__init__(locals())
         if n < 1:
             raise ValueError("denominator degree must be at least 1")
         if not 0 <= m <= n:
@@ -159,8 +155,6 @@ class GammaSolutions(Record):
     the pair is also carried exactly as quadratic surds.
     """
 
-    __match_args__ = ("j", "a_j", "branch_plus", "branch_minus", "precision", "exact")
-
     def __init__(
         self,
         j: int,
@@ -170,12 +164,7 @@ class GammaSolutions(Record):
         precision: int,
         exact: Optional[tuple[QuadSurd, QuadSurd]] = None,
     ) -> None:
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "a_j", a_j)
-        object.__setattr__(self, "branch_plus", branch_plus)
-        object.__setattr__(self, "branch_minus", branch_minus)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "exact", exact)
+        super().__init__(locals())
 
 
 def gamma_candidates(n: int, m: int, j: int, precision: int = 12) -> GammaSolutions:
@@ -217,12 +206,8 @@ class Order2Gamma(Record):
     They always straddle 1 (q(1) = 1 - 2m < 0 for m >= 1).
     """
 
-    __match_args__ = ("gamma_plus", "gamma_minus", "quadratic")
-
     def __init__(self, gamma_plus: QuadSurd, gamma_minus: QuadSurd, quadratic: Polynomial) -> None:
-        object.__setattr__(self, "gamma_plus", gamma_plus)
-        object.__setattr__(self, "gamma_minus", gamma_minus)
-        object.__setattr__(self, "quadratic", quadratic)
+        super().__init__(locals())
 
 
 def gamma_order2(n: int, m: int) -> Order2Gamma:
@@ -263,16 +248,6 @@ def magnitude_gamma_mismatch(n: int, m: int, j: int) -> Polynomial:
 class MutualExclusionReport(Record):
     """Certified separation of the gamma candidate sets across j."""
 
-    __match_args__ = (
-        "n",
-        "m",
-        "precision",
-        "candidates",
-        "pairs_checked",
-        "all_disjoint",
-        "all_above_half",
-    )
-
     def __init__(
         self,
         n: int,
@@ -283,13 +258,7 @@ class MutualExclusionReport(Record):
         all_disjoint: bool,
         all_above_half: bool,
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "all_disjoint", all_disjoint)
-        object.__setattr__(self, "all_above_half", all_above_half)
+        super().__init__(locals())
 
 
 def mutual_exclusion(n: int, m: int, precision: int = 9) -> MutualExclusionReport:
@@ -323,8 +292,6 @@ class DelayCoefficientPolys(Record):
     reflecting delay flatness of order m.
     """
 
-    __match_args__ = ("m", "n", "numerator_polys", "denominator_polys", "scale")
-
     def __init__(
         self,
         m: int,
@@ -333,11 +300,7 @@ class DelayCoefficientPolys(Record):
         denominator_polys: tuple[Polynomial, ...],
         scale: Fraction,
     ) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "numerator_polys", numerator_polys)
-        object.__setattr__(self, "denominator_polys", denominator_polys)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(locals())
 
     def a(self, i: int) -> Polynomial:
         if not 1 <= i <= len(self.numerator_polys):
@@ -484,22 +447,6 @@ class Order2Certificate(Record):
     gamma never enters a transfer function.
     """
 
-    __match_args__ = (
-        "n",
-        "m",
-        "gammas",
-        "u1_divisible_by_q",
-        "u2_coprime_to_q",
-        "magnitude_order",
-        "delay_lower_orders_match",
-        "delay_mth_coprime_to_q",
-        "delay_order",
-        "denominator_verdict",
-        "numerator_verdict",
-        "minimum_phase_plus",
-        "minimum_phase_minus",
-    )
-
     def __init__(
         self,
         n: int,
@@ -516,19 +463,7 @@ class Order2Certificate(Record):
         minimum_phase_plus: bool,
         minimum_phase_minus: bool,
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "u1_divisible_by_q", u1_divisible_by_q)
-        object.__setattr__(self, "u2_coprime_to_q", u2_coprime_to_q)
-        object.__setattr__(self, "magnitude_order", magnitude_order)
-        object.__setattr__(self, "delay_lower_orders_match", delay_lower_orders_match)
-        object.__setattr__(self, "delay_mth_coprime_to_q", delay_mth_coprime_to_q)
-        object.__setattr__(self, "delay_order", delay_order)
-        object.__setattr__(self, "denominator_verdict", denominator_verdict)
-        object.__setattr__(self, "numerator_verdict", numerator_verdict)
-        object.__setattr__(self, "minimum_phase_plus", minimum_phase_plus)
-        object.__setattr__(self, "minimum_phase_minus", minimum_phase_minus)
+        super().__init__(locals())
 
 
 def order2_certificate(n: int, m: int) -> Order2Certificate:

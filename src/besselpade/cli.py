@@ -32,7 +32,6 @@ from .response import (
     delay_flatness,
     flatness,
     frequency_rows,
-    group_delay,
     magnitude_squared,
 )
 from .stability import StabilityReport, Verdict, routh_hurwitz
@@ -97,8 +96,6 @@ def _emit_json(payload: dict) -> None:
 class DesignReport(Record):
     """What a design report prints about one transfer function."""
 
-    __match_args__ = ("tf", "stability", "delay", "magnitude", "minimum_phase", "provenance")
-
     def __init__(
         self,
         tf: TransferFunction,
@@ -108,12 +105,7 @@ class DesignReport(Record):
         minimum_phase: bool,
         provenance: dict,
     ) -> None:
-        object.__setattr__(self, "tf", tf)
-        object.__setattr__(self, "stability", stability)
-        object.__setattr__(self, "delay", delay)
-        object.__setattr__(self, "magnitude", magnitude)
-        object.__setattr__(self, "minimum_phase", minimum_phase)
-        object.__setattr__(self, "provenance", provenance)
+        super().__init__(locals())
 
 
 def minimum_phase(tf: TransferFunction) -> bool:
@@ -157,8 +149,11 @@ def design_report(tf: TransferFunction, provenance: dict) -> DesignReport:
     stability = _pole_stability(tf)
     try:
         delay = delay_flatness(tf)
-    except FlatBeyondHorizon:  # a constant delay
-        delay = _flatness_or_constant(group_delay(tf), Quantity.DELAY)
+    except FlatBeyondHorizon:
+        # A constant delay is 0: the phase of a rational H(j*omega) tends
+        # to a limit as omega grows, where a delay c != 0 would make it
+        # drift as -c*omega without bound.
+        delay = FlatnessReport(Fraction(0), None, Fraction(0), Quantity.DELAY)
     return DesignReport(
         tf,
         stability,

@@ -659,11 +659,8 @@ def interpolate(points: Sequence[tuple[Coefficient, Coefficient]]) -> Polynomial
 class Enclosure(Record):
     """Closed interval [lo, hi] with exact rational endpoints."""
 
-    __match_args__ = ("lo", "hi")
-
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(locals())
         if lo > hi:
             raise ValueError("empty enclosure")
 

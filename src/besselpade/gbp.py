@@ -38,13 +38,9 @@ RationalLike = Union[Fraction, int, str]
 class GbpParams(Record):
     """Degree and the two real shape parameters, stored as `Fraction`s."""
 
-    __match_args__ = ("n", "alpha", "beta")
-
     def __init__(self, n: int, alpha: Fraction, beta: Fraction) -> None:
         alpha, beta = Fraction(alpha), Fraction(beta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(locals())
         if n < 0:
             raise ValueError("degree must be non-negative")
         if beta == 0:

@@ -43,11 +43,8 @@ from .gbp import gbp_of
 class PadeIndex(Record):
     """Denominator degree n, numerator degree m."""
 
-    __match_args__ = ("n", "m")
-
     def __init__(self, n: int, m: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        super().__init__(locals())
         if n < 0 or m < 0:
             raise ValueError("degrees must be non-negative")
 

@@ -75,8 +75,6 @@ class FlatnessReport(Record):
     marks an exactly constant quantity; `flatness` itself raises on one.
     """
 
-    __match_args__ = ("value_at_origin", "order", "leading_deviation", "quantity")
-
     def __init__(
         self,
         value_at_origin: Fraction,
@@ -84,10 +82,7 @@ class FlatnessReport(Record):
         leading_deviation: Fraction,
         quantity: Optional[Quantity] = None,
     ) -> None:
-        object.__setattr__(self, "value_at_origin", value_at_origin)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "leading_deviation", leading_deviation)
-        object.__setattr__(self, "quantity", quantity)
+        super().__init__(locals())
 
 
 def magnitude_squared(tf: TransferFunction) -> EvenRationalFunction:
@@ -211,14 +206,10 @@ class SamplePoint(Record):
     """One point of `sample`: omega, the value there, and whether it lies
     next to a pole."""
 
-    __match_args__ = ("omega", "value", "pole_adjacent")
-
     def __init__(
         self, omega: float, value: Union[float, complex], pole_adjacent: bool = False
     ) -> None:
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "pole_adjacent", pole_adjacent)
+        super().__init__(locals())
 
 
 def sample(

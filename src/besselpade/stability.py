@@ -82,8 +82,6 @@ class StabilityReport(Record):
     from then on. Two threads racing to fill it store equal tuples.
     """
 
-    __match_args__ = ("verdict", "routh_first_column", "sign_changes", "degenerate_rows")
-
     # the integer pairs (T_i[0], d_i) of a report from routh_hurwitz
     _column_pairs = ()
 
@@ -94,10 +92,7 @@ class StabilityReport(Record):
         sign_changes: int,
         degenerate_rows: tuple[int, ...],
     ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "routh_first_column", routh_first_column)
-        object.__setattr__(self, "sign_changes", sign_changes)
-        object.__setattr__(self, "degenerate_rows", degenerate_rows)
+        super().__init__(locals())
 
     # a non-data descriptor: the tuple the constructor or the first read
     # stores in the instance is found before it
@@ -194,15 +189,12 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
 class Theorem1Report(Record):
     """Grid sweep outcome; the contract is an empty violation list."""
 
-    __match_args__ = ("checked", "violations")
-
     def __init__(
         self,
         checked: int,
         violations: tuple[tuple[int, Fraction, Fraction, Verdict], ...] = (),
     ) -> None:
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "violations", violations)
+        super().__init__(locals())
 
     @property
     def ok(self) -> bool:

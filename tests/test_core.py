@@ -7,6 +7,8 @@ every value class of the package shares.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
 import random
 from fractions import Fraction as F
@@ -479,6 +481,26 @@ def test_records_match_class_patterns_by_position():
             assert (lo, hi) == (1, 2)
         case _:
             pytest.fail("no match")
+
+
+def test_every_value_class_is_covered_and_names_its_constructor_fields():
+    """Each public class with `__match_args__` in a public module is one
+    of RECORDS, so none skips the value-semantics tests above, and its
+    fields are its constructor's parameters, in order."""
+    found = {}
+    for name in ("core", "gbp", "pade", "stability", "response", "budak", "cli"):
+        module = importlib.import_module(f"besselpade.{name}")
+        for attr, cls in vars(module).items():
+            if (
+                isinstance(cls, type)
+                and not attr.startswith("_")
+                and cls.__module__ == module.__name__
+                and hasattr(cls, "__match_args__")
+            ):
+                found[attr] = cls
+    assert sorted(found) == sorted(RECORDS)
+    for cls in found.values():
+        assert cls.__match_args__ == tuple(inspect.signature(cls).parameters), cls
 
 
 def test_quadsurd_normalization():

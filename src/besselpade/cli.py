@@ -252,12 +252,16 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
             "den": _poly_strings(tf.denominator),
         }
         return tf, provenance
+    fields = rest.split(",")
+    form = {"pade": "pade:N,M", "budak": "budak:M,N,G"}.get(kind)
+    if form and len(fields) != form.count(",") + 1:
+        raise UsageError(f"bad source spec {spec!r}: expected {form}")
     try:
         if kind == "pade":
-            n, m = (int(x) for x in rest.split(","))
+            n, m = map(int, fields)
             provenance = {"family": "pade", "n": n, "m": m}
         elif kind == "budak":
-            m_s, n_s, g_s = rest.split(",")
+            m_s, n_s, g_s = fields
             m, n, g = int(m_s), int(n_s), Fraction(g_s)
             provenance = {"family": "budak", "m": m, "n": n, "gamma": str(g)}
         elif kind == "bessel":

@@ -17,6 +17,10 @@ with O_k = (2k+1)*o_k and E_k = 2k*e_k, since o + 2u*o' has coefficients
 (2k+1)*o_k and 2u*e' has 2k*e_k: two products, not three. The delay of
 N/D is psi_D - psi_N. Numerator and denominator of psi_P are both
 quadratic in (e, o), so L cancels and the delay needs no correction.
+For an all-pass, |N(j*omega)| = |D(j*omega)|, the two slope
+denominators are proportional, and the delay is formed over one of
+them, with no gcd; the factor left out is 1 at the origin, so the
+canonical delay and its flatness report are those of the full products.
 The squared magnitude |L * P(j*omega)|^2 = e^2 + u*o^2 is exactly
 psi_P's denominator; it is formed once per polynomial, with the split,
 from two squares that form each cross product e_i*e_k once, and both
@@ -111,7 +115,12 @@ def _delay_products(tf: TransferFunction) -> tuple[list[int], Sequence[int]]:
     A_D*B_N - A_N*B_D over B_D*B_N, with A_P/B_P = psi_P, not reduced.
     When one slope is zero (an even P) the other slope alone is returned:
     the products would carry that side's B_P as a common factor, which
-    only a gcd over Q would take out again."""
+    only a gcd over Q would take out again. So would an all-pass, where
+    |N(j*omega)| = |D(j*omega)| makes B_N = k*B_D with k = B_N(0)/B_D(0)
+    > 0, since P(0) != 0: then the delay is kn*A_D - kd*A_N over kn*B_D,
+    with kn = B_N(0) and kd = B_D(0), the products divided by B_D/kd.
+    That factor is 1 at u = 0, so `delay_flatness` reads the same report
+    off it, and the canonical `group_delay` is the same reduced pair."""
     if tf.denominator.coeff(0) == 0:
         raise ValueError("phase undefined: pole at the origin")
     if tf.numerator.coeff(0) == 0:
@@ -122,6 +131,9 @@ def _delay_products(tf: TransferFunction) -> tuple[list[int], Sequence[int]]:
         return dn, dd
     if not any(dn):
         return [-c for c in nn], nd
+    kn, kd = nd[0], dd[0]
+    if len(nd) == len(dd) and all(n * kd == d * kn for n, d in zip(nd, dd)):
+        return int_add([kn * c for c in dn], [kd * c for c in nn], -1), [kn * c for c in dd]
     return int_add(convolve(dn, nd), convolve(nn, dd), -1), convolve(dd, nd)
 
 
@@ -277,13 +289,15 @@ def _sample_pairs(
         return gn, gd
 
     inf = math.inf
+    # bound methods: calling the instances looks __call__ up at every point
+    num_at, den_at = num.__call__, den.__call__
     out = []
     for start in range(0, len(ws), _GATE_BLOCK):
         block = ws[start : start + _GATE_BLOCK]
         xs = [1j * w for w in block] if transfer else [w * w for w in block]
         bn, bd = gate(max(map(abs, xs)))  # at least each point's own gate
         for w, x in zip(block, xs):
-            n, d = num(x), den(x)
+            n, d = num_at(x), den_at(x)
             try:
                 an, ad = abs(n), abs(d)
             except OverflowError:  # finite parts, modulus beyond the double range

@@ -461,6 +461,22 @@ def test_analyze_bad_specs(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "spec, form",
+    [
+        ("pade:3", "pade:N,M"),
+        ("pade:3,2,1", "pade:N,M"),
+        ("budak:1,2", "budak:M,N,G"),
+        ("budak:1,2,3,4", "budak:M,N,G"),
+    ],
+)
+def test_source_spec_with_the_wrong_field_count_names_its_form(capsys, spec, form):
+    code, _, err = run(capsys, ["analyze", "--source", spec])
+    assert code == 2
+    assert f"bad source spec {spec!r}: expected {form}" in err
+    assert "unpack" not in err and "Traceback" not in err
+
+
 def test_analyze_degenerate_function_exits_1(tmp_path, capsys):
     # a zero or a pole at the origin leaves the phase undefined
     for name, tf, message in (

@@ -563,6 +563,34 @@ def test_delay_flatness_matches_the_canonical_delay_oracle():
             delay_flatness(tf)
 
 
+def reflected(p, scale=1):
+    """scale * p(-s)."""
+    return Polynomial([scale * (-1) ** k * c for k, c in enumerate(p.coefficients)])
+
+
+def test_allpass_delays_match_the_fraction_oracle():
+    # |N(j*omega)| = |D(j*omega)| makes the two slope denominators
+    # proportional; a gain c scales them apart by c^2
+    tfs = [pe(n, n) for n in range(1, 21)]
+    local = random.Random(40213)
+    randoms = []
+    for degree in (7, 8):
+        coeffs = [F(local.randint(-9, 9), local.randint(1, 6)) for _ in range(degree - 1)]
+        randoms.append(Polynomial([F(local.randint(1, 9), local.randint(1, 6))] + coeffs + [1]))
+    dens = [gbp_of(5, 2, 1), pe(6, 6).denominator] + randoms
+    tfs += [TransferFunction(reflected(d, c), d) for d in dens for c in (-1, 3, F(-1, 2), F(7, 5))]
+    # near-all-passes: the slope denominators agree at u^0 but are not proportional
+    for d, k in ((pe(6, 6).denominator, 2), (randoms[0], 1)):
+        nums = list(reflected(d).coefficients)
+        nums[k] += F(1, 3)
+        tfs.append(TransferFunction(Polynomial(nums), d))
+    for tf in tfs:
+        assert group_delay(tf) == _oracles.fraction_group_delay(tf), tf
+        assert flatness_outcome(delay_flatness, tf) == flatness_outcome(
+            _oracles.canonical_delay_flatness, tf
+        ), tf
+
+
 def shared_split_sources(tmp_path):
     """Pade, Bessel, Budak and file: specs, among them constant numerators
     (Bessel, pade:0,m), a constant denominator (pade:n,0 and a file) and

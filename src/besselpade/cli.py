@@ -253,7 +253,7 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
         }
         return tf, provenance
     fields = rest.split(",")
-    form = {"pade": "pade:N,M", "budak": "budak:M,N,G"}.get(kind)
+    form = {"pade": "pade:N,M", "budak": "budak:M,N,G", "bessel": "bessel:N"}.get(kind)
     if form and len(fields) != form.count(",") + 1:
         raise UsageError(f"bad source spec {spec!r}: expected {form}")
     try:
@@ -536,23 +536,6 @@ def _precision_from_env() -> int:
     return value
 
 
-class _Subcommand:
-    """Stands in for a subcommand's parser until a command line selects
-    it: `add_subparsers(parser_class=_Subcommand)` stores one under each
-    name, and `parse_known_args`, the one method argparse calls on a
-    stored parser, builds the real parser and its arguments. A parse thus
-    builds one subcommand's parser, not six."""
-
-    def __init__(self, add_arguments: Callable[[argparse.ArgumentParser], None], **kwargs):
-        self._add_arguments = add_arguments
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._add_arguments(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def _rational(text: str) -> Fraction:
     """argparse type of a rational: "1/0" is a usage error, as "abc" is."""
     try:
@@ -561,74 +544,99 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _gbp_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--alpha", type=_rational, required=True)
+    p.add_argument("--beta", type=_rational, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_gbp)
+
+
+def _pade_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--analyze", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_pade)
+
+
+def _budak_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gamma", type=_rational)
+    p.add_argument("--order2-gamma", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_budak)
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_analyze)
+
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--output", help="target CSV path (omit or '-' for stdout)")
+    p.set_defaults(func=_cmd_sweep)
+
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_compare)
+
+
+# each subcommand's help summary and the function that adds its arguments
+_SUBCOMMANDS = {
+    "gbp": ("construct a generalized Bessel polynomial", _gbp_arguments),
+    "pade": ("(n,m) delay approximant", _pade_arguments),
+    "budak": ("two-sided scaled-Bessel approximant", _budak_arguments),
+    "analyze": ("full report for a transfer function source", _analyze_arguments),
+    "sweep": ("CSV frequency sweep", _sweep_arguments),
+    "compare": ("side-by-side approximant table", _compare_arguments),
+}
+
+
+def _help_formatter() -> Callable[..., argparse.HelpFormatter]:
+    """argparse's HelpFormatter at the width argparse itself would use,
+    with the terminal width read once, not by each formatter made."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the command line. `main` builds one per call, so
-    building stays cheap: the terminal width is read once here, not by
-    each help formatter argparse makes, and a subcommand's parser is
-    built only when a command line selects it (`_Subcommand`). Help
-    wraps at the width argparse itself would use, as read at build time."""
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    """A new parser for the whole command line, with every subcommand's
+    parser. `main` needs it only for a line that names no subcommand or
+    leaves an argument over; help wraps at the terminal width read at
+    build time."""
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="besselpade",
         description="Exact delay-approximation toolbox: polynomials, approximants, stability and flatness reports.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-
-    def gbp_arguments(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--alpha", type=_rational, required=True)
-        p.add_argument("--beta", type=_rational, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_gbp)
-
-    def pade_arguments(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--analyze", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_pade)
-
-    def budak_arguments(p):
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--gamma", type=_rational)
-        p.add_argument("--order2-gamma", action="store_true")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_budak)
-
-    def analyze_arguments(p):
-        p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_analyze)
-
-    def sweep_arguments(p):
-        p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
-        p.add_argument("--omega-max", type=float, required=True)
-        p.add_argument("--points", type=int, required=True)
-        p.add_argument("--output", help="target CSV path (omit or '-' for stdout)")
-        p.set_defaults(func=_cmd_sweep)
-
-    def compare_arguments(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_compare)
-
-    for name, summary, add_arguments in [
-        ("gbp", "construct a generalized Bessel polynomial", gbp_arguments),
-        ("pade", "(n,m) delay approximant", pade_arguments),
-        ("budak", "two-sided scaled-Bessel approximant", budak_arguments),
-        ("analyze", "full report for a transfer function source", analyze_arguments),
-        ("sweep", "CSV frequency sweep", sweep_arguments),
-        ("compare", "side-by-side approximant table", compare_arguments),
-    ]:
-        sub.add_parser(name, help=summary, formatter_class=formatter, add_arguments=add_arguments)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary, formatter_class=formatter))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # The full parser hands every string after a subcommand's name to that
+    # subcommand's parser and reads none of them itself, so a line that
+    # names a subcommand is parsed by that parser alone: same help, errors
+    # and namespace. Only leftovers are the top level's to report.
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"besselpade {argv[0]}", formatter_class=_help_formatter())
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     # Exact values outgrow CPython's default int/str conversion limit of
     # 4300 digits (the Routh column of bessel:200 holds 6400-digit
     # entries), so it is lifted while a command runs, where the

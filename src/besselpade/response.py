@@ -355,7 +355,8 @@ def frequency_rows(
             mag = math.inf
         phase = cmath.phase(h)
         if w and not (h.imag and mag < math.inf):
-            a, b, _ = _times_conjugate(num, den, *w.as_integer_ratio())
+            p, q = w.as_integer_ratio()
+            a, b, _ = _times_conjugate(num, den, p, q.bit_length() - 1)
             scale = 1 << (max(a.bit_length(), b.bit_length(), 1000) - 1000)
             phase = math.atan2(b / scale, a / scale) if b else phase
         rows.append((w, mag, phase, delay, False))
@@ -379,11 +380,14 @@ def _exact_sampler(
     omega_max*i/(points-1) is two roundings, eps in all, from its exact
     value, and u = omega^2 doubles that; 4 eps covers both.
 
-    A double w is p/q. With N, D and D' cleared to integer lists, N and D
-    padded to one length n + 1, one homogeneous Horner sum over Z[j] gives
-    q^n P(j*p/q), or q^(2n) P(p^2/q^2) for an even function; the Newton
-    test then loses the powers of q, and the value L_D N / (L_N D) is one
-    int / int true division with a positive divisor, so a zero is 0.0.
+    A double w is p/q in lowest terms with q = 2^k: a finite double is an
+    integer times a power of two, so its reduced denominator is one too,
+    and Horner's powers of q are shifts. With N, D and D' cleared to
+    integer lists, N and D padded to one length n + 1, one homogeneous
+    Horner sum over Z[j] gives q^n P(j*p/q), or q^(2n) P(p^2/q^2) for an
+    even function; the Newton test then loses the powers of q, and the
+    value L_D N / (L_N D) is one int / int true division with a positive
+    divisor, so a zero is 0.0.
     """
     num, ln = f.numerator.integer_form
     den, ld = f.denominator.integer_form
@@ -395,19 +399,20 @@ def _exact_sampler(
 
         def even_point(w: float) -> _Pair:
             p, q = w.as_integer_ratio()
-            a, b = p * p, q * q
-            d = _horner(den, a, 0, b)[0]
-            if abs(d) << 50 <= a * abs(_horner(slope, a, 0, b)[0]):
+            a, k = p * p, 2 * (q.bit_length() - 1)
+            d = _horner(den, a, 0, k)[0]
+            if abs(d) << 50 <= a * abs(_horner(slope, a, 0, k)[0]):
                 return math.inf, True
-            n = ld * _horner(num, a, 0, b)[0]
+            n = ld * _horner(num, a, 0, k)[0]
             return _quotient(n if d > 0 else -n, ln * abs(d)), False
 
         return even_point
 
     def transfer_point(w: float) -> _Pair:
         p, q = w.as_integer_ratio()
-        re, im, norm = _times_conjugate(num, den, p, q)
-        sr, si = _horner(slope, 0, p, q)
+        k = q.bit_length() - 1
+        re, im, norm = _times_conjugate(num, den, p, k)
+        sr, si = _horner(slope, 0, p, k)
         if norm << 100 <= p * p * (sr * sr + si * si):
             return math.inf, True
         return complex(_quotient(ld * re, ln * norm), _quotient(ld * im, ln * norm)), False
@@ -415,19 +420,20 @@ def _exact_sampler(
     return transfer_point
 
 
-def _horner(c: Sequence[int], ar: int, ai: int, b: int) -> tuple[int, int]:
-    """b^n * c((ar + j*ai)/b) as the Gaussian integer (re, im), n = len(c) - 1."""
-    re, im, scale = 0, 0, 1
+def _horner(c: Sequence[int], ar: int, ai: int, k: int) -> tuple[int, int]:
+    """2^(k*n) * c((ar + j*ai) / 2^k) as the Gaussian integer (re, im), n = len(c) - 1."""
+    re, im, shift = 0, 0, 0
     for c_k in reversed(c):
-        re, im = re * ar - im * ai + c_k * scale, re * ai + im * ar
-        scale *= b
+        re, im = re * ar - im * ai + (c_k << shift), re * ai + im * ar
+        shift += k
     return re, im
 
 
-def _times_conjugate(num: Sequence[int], den: Sequence[int], p: int, q: int) -> tuple[int, ...]:
-    """re, im of N*conj(D) and |D|^2 at j*p/q times q^(n+m), q^(2m); num, den hold n+1, m+1 ints."""
-    nr, ni = _horner(num, 0, p, q)
-    dr, di = _horner(den, 0, p, q)
+def _times_conjugate(num: Sequence[int], den: Sequence[int], p: int, k: int) -> tuple[int, ...]:
+    """re, im of N*conj(D) and |D|^2 at j*p/2^k times 2^(k(n+m)), 2^(2km);
+    num, den hold n+1, m+1 ints."""
+    nr, ni = _horner(num, 0, p, k)
+    dr, di = _horner(den, 0, p, k)
     return nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
 
 

@@ -468,6 +468,7 @@ def test_analyze_bad_specs(capsys):
         ("pade:3,2,1", "pade:N,M"),
         ("budak:1,2", "budak:M,N,G"),
         ("budak:1,2,3,4", "budak:M,N,G"),
+        ("bessel:3,4", "bessel:N"),
     ],
 )
 def test_source_spec_with_the_wrong_field_count_names_its_form(capsys, spec, form):
@@ -944,7 +945,7 @@ def test_precision_env_validation(capsys, monkeypatch):
 
 
 def test_one_parser_parses_every_subcommand_twice():
-    # a subcommand's parser is built when a command line selects it
+    # build_parser() holds every subcommand, as main's fallback needs
     parser = build_parser()
     lines = [
         (["gbp", "--n", "3", "--alpha", "2", "--beta", "1/2"], {"n": 3, "alpha": F(2), "beta": F(1, 2)}),
@@ -1025,6 +1026,35 @@ def test_unknown_subcommand_is_an_invalid_choice(capsys):
     assert "invalid choice: 'nosuch'" in err
     assert all(f"'{name}'" in err.split("choose from", 1)[1] for name in SUBCOMMANDS)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["--", "analyze", "--source", "pade:3,2"],
+        ["analyze"],
+        ["analyze", "-hx"],
+        ["analyze", "--source"],
+        ["analyze", "--source", "pade:3,2", "extra"],
+        ["analyze", "--source", "pade:3,2", "--bogus"],
+        ["analyze", "--source", "pade:3,2", "--", "x"],
+        ["gbp", "--n", "3", "--alpha", "1", "--beta", "-1/2"],
+        ["gbp", "--n", "x", "--alpha", "1", "--beta", "1"],
+        ["sweep", "--source", "bessel:3", "--omega-max", "2"],
+        ["compare", "--n", "3", "--m", "2", "compare"],
+    ],
+)
+def test_main_exits_as_the_full_parser_does(capsys, monkeypatch, argv):
+    # main parses a line that names a subcommand with that subcommand's
+    # parser alone; help, errors and leftovers must read as from the full one
+    monkeypatch.setenv("COLUMNS", "100")
+    got = exit_of(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert got == (exc.value.code, *capsys.readouterr())
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -44,7 +44,9 @@ numerator is constant. The closed form has degree at most 2j in gamma,
 so its values at 2j+1 integers determine it, and the mismatch is
 interpolated through exactly those, because the benchmark's
 gamma-compare workload counts `core.interpolate` as a stressed layer;
-once it stops, the closed form can be returned as it stands.
+once it stops, the closed form can be returned as it stands. The samples
+are a_0 b_0 times the closed form, a_j b_0 (2t)^(2j) - b_j a_0 (2t-2)^(2j),
+all integers, and the interpolant is divided by a_0 b_0 once at the end.
 """
 
 from __future__ import annotations
@@ -232,17 +234,21 @@ def magnitude_gamma_mismatch(n: int, m: int, j: int) -> Polynomial:
     The closed form alpha_j (2 gamma)^(2j) - beta_j (2(gamma-1))^(2j) of
     the module docstring has degree at most 2j in gamma, so its values at
     the 2j+1 integers 0..2j determine it; the polynomial is interpolated
-    through them. j may exceed the numerator degree m, in which case
-    beta_j = 0 and the mismatch is the bare denominator coefficient.
+    through them. With alpha_j = a_j/a_0 and beta_j = b_j/b_0, the samples
+    taken are a_0 b_0 times those values, integers, and the interpolant's
+    integer form is put over a_0 b_0. j may exceed the numerator degree m,
+    in which case beta_j = 0 and the mismatch is the bare denominator
+    coefficient.
     """
     if not (1 <= j <= n and 1 <= m < n):
         raise ValueError("need 1 <= m < n and 1 <= j <= n")
     a, b = _weights(n), _weights(m)
-    alpha = Fraction(a[j], a[0])
-    beta = Fraction(b[j], b[0]) if j <= m else 0
+    # a_0 b_0 alpha_j and a_0 b_0 beta_j
+    alpha, beta = a[j] * b[0], (b[j] * a[0] if j <= m else 0)
     k = 2 * j
     samples = [alpha * (2 * t) ** k - beta * (2 * t - 2) ** k for t in range(k + 1)]
-    return interpolate(list(enumerate(samples)))
+    nums, den = interpolate(list(enumerate(samples))).integer_form
+    return Polynomial.from_integer_form(nums, den * a[0] * b[0])
 
 
 class MutualExclusionReport(Record):

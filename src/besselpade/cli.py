@@ -262,14 +262,14 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
             provenance = {"family": "pade", "n": n, "m": m}
         elif kind == "budak":
             m_s, n_s, g_s = fields
-            m, n, g = int(m_s), int(n_s), Fraction(g_s)
+            m, n, g = int(m_s), int(n_s), _rational(g_s)
             provenance = {"family": "budak", "m": m, "n": n, "gamma": str(g)}
         elif kind == "bessel":
             provenance = {"family": "bessel", "n": int(rest)}
         else:
             raise UsageError(f"unknown source kind {kind!r}")
         return tf_from_provenance(provenance), provenance
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad source spec {spec!r}: {exc}") from exc
 
 

@@ -2,9 +2,9 @@
 
 Dense rational-coefficient polynomials, canonical rational functions (in the
 Laplace variable s and in u = omega^2), truncated power series, quadratic
-surds a + b*sqrt(d), exact Lagrange/Newton interpolation, and correctly
-rounded decimal rendering of surds in one step, from exact comparisons
-and one integer square root.
+surds a + b*sqrt(d), exact interpolation in Lagrange's form over the
+integers, and correctly rounded decimal rendering of surds in one step,
+from exact integer comparisons and one integer square root.
 
 Every coefficient is rational, so all operations here are exact. A
 `Polynomial` is held as integer numerators over one positive
@@ -625,30 +625,37 @@ def exp_series(sign: int, terms: int) -> TruncatedSeries:
 def interpolate(points: Sequence[tuple[Coefficient, Coefficient]]) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Newton's divided differences over exact rationals, expanded in Horner
-    form on one coefficient list; duplicated abscissae are rejected.
+    Lagrange's form over the integers. With x_i = X_i/M and y_i = Y_i/L
+    over the lcms M and L of the denominators, P = prod_j (M x - X_j) and
+    P_i = P / (M x - X_i), the interpolant is sum_i Y_i (W/W_i) P_i over
+    L W, where W_i = prod_{j != i} (X_i - X_j) and W = lcm W_i. Each P_i
+    comes from P by synthetic division from the top, Q_{k-1} = (P_k + X_i
+    Q_k) / M, and each division is exact: the quotient P_i = prod_{j != i}
+    (M x - X_j) lies in Z[x] (Gauss's lemma), so every Q_k is an integer.
+    Duplicated abscissae are rejected.
     """
     if not points:
         raise ValueError("need at least one point")
-    xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
+    xs = [x if isinstance(x, int) else _frac(x) for x, _ in points]
+    ys = [y if isinstance(y, int) else _frac(y) for _, y in points]
+    lcm_x = math.lcm(*[x.denominator for x in xs])
+    lcm_y = math.lcm(*[y.denominator for y in ys])
+    xs = [x.numerator * (lcm_x // x.denominator) for x in xs]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicated abscissa")
-    # divided-difference coefficients, in place
-    coef = list(ys)
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner assembly on one ascending list: p = c_{n-1}; p = p*(x - x_k) + c_k
-    out = [coef[-1]]
-    for k in range(n - 2, -1, -1):
-        x = xs[k]
-        out.append(out[-1])
-        for i in range(len(out) - 2, 0, -1):
-            out[i] = out[i - 1] - x * out[i]
-        out[0] = coef[k] - x * out[0]
-    return Polynomial(out)
+    p = [1]
+    for x in xs:
+        p = convolve(p, (-x, lcm_x))
+    ws = [math.prod([x - z for z in xs if z != x]) for x in xs]
+    w = math.lcm(*ws)
+    out = [0] * len(xs)
+    for x, y, wx in zip(xs, ys, ws):
+        c = y.numerator * (lcm_y // y.denominator) * (w // wx)
+        q = 0
+        for k in range(len(xs), 0, -1):
+            q = (p[k] + x * q) // lcm_x
+            out[k - 1] += c * q
+    return Polynomial.from_integer_form(out, lcm_y * w)
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +792,16 @@ class QuadSurd:
         return QuadSurd(-self._a, -self._b, self._d)
 
     def compare_to_rational(self, r: Coefficient) -> int:
-        """Sign of (self - r), decided exactly."""
-        t = self._a - _frac(r)
-        b = self._b
+        """Sign of (self - r), decided exactly on integers: over q_a q_b q_r > 0,
+        a - r and b read T = p_a q_b q_r - p_r q_a q_b and B = p_b q_a q_r.
+        Where T is 0 or has B's sign, T + B sqrt(d) has B's sign; otherwise
+        that of the term, T or B sqrt(d), with the larger square."""
+        if not isinstance(r, int):
+            r = _frac(r)
+        a, b, qr = self._a, self._b, r.denominator
+        qa, qb = a.denominator, b.denominator
+        t = (a.numerator * qr - r.numerator * qa) * qb
+        b = b.numerator * qa * qr
         if b == 0:
             return (t > 0) - (t < 0)
         # sign of t + b*sqrt(d), with b*sqrt(d) irrational
@@ -845,13 +859,15 @@ class QuadSurd:
 # ---------------------------------------------------------------------------
 
 
-def _decimal_exponent(x: QuadSurd) -> int:
-    """floor(log10(x)) for x > 0, by exact comparisons against powers of ten."""
+def _decimal_exponent(x: QuadSurd, sign: int) -> int:
+    """floor(log10(|x|)) for x of the given sign, +1 or -1, by exact
+    comparisons against powers of ten: |x| < 10^e iff sign (x - sign 10^e) < 0."""
 
     def below(e: int) -> bool:
-        return x.compare_to_rational(Fraction(10) ** e) < 0
+        ten = sign * 10**e if e >= 0 else Fraction(sign, 10**-e)
+        return sign * x.compare_to_rational(ten) < 0
 
-    # widen [lo, hi) until 10^lo <= x < 10^hi, then bisect
+    # widen [lo, hi) until 10^lo <= |x| < 10^hi, then bisect
     lo, hi = -1, 1
     while below(lo):
         lo, hi = 2 * lo, lo
@@ -889,20 +905,23 @@ def surd_to_float(x: QuadSurd, precision: int) -> str:
     takes one `math.isqrt`. The nearest integer to y is then
     floor((floor(2y) + 1) / 2). An irrational value never lies on a tie; a
     rational one does when 2y is an odd integer, and rounds half to even.
+    The scaling by 10^(precision-1-e) is an integer product, into p and q or
+    into L, so L need not be in lowest terms: the floor and the tie test
+    2p mod L = 0 read the same rational either way.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    if x == 0:
+    sign = x.compare_to_rational(0)
+    if not sign:
         return _format_fixed("0" * precision, 0, False)
-    negative = x.compare_to_rational(0) < 0
-    if negative:
-        x = -x
-    e = _decimal_exponent(x)
-    scale = Fraction(10) ** (precision - 1 - e)
-    a, b = x.a * scale, x.b * scale
+    e = _decimal_exponent(x, sign)
+    a, b = x.a, x.b
     den = math.lcm(a.denominator, b.denominator)
-    p = a.numerator * (den // a.denominator)
-    q = b.numerator * (den // b.denominator)
+    s = precision - 1 - e
+    up = sign * 10 ** max(s, 0)
+    p = a.numerator * (den // a.denominator) * up
+    q = b.numerator * (den // b.denominator) * up
+    den *= 10 ** max(-s, 0)
     # 4 q^2 d is a perfect square only for q = 0, since d is squarefree
     root = math.isqrt(4 * q * q * x.d)
     twice = (2 * p + (root if q >= 0 else -root - 1)) // den
@@ -912,4 +931,4 @@ def surd_to_float(x: QuadSurd, precision: int) -> str:
     if n == 10**precision:  # rounding carried into the next power of ten
         n //= 10
         e += 1
-    return _format_fixed(str(n), e, negative)
+    return _format_fixed(str(n), e, sign < 0)

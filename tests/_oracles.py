@@ -17,6 +17,8 @@
   and 2(gamma - 1) substituted into the Fraction phase slopes.
 - refined_surd_to_float: a surd bracketed by exact intervals until both
   ends round alike.
+- mpmath_surd_sign: the sign of a surd minus a rational, by mpmath at 120
+  digits (by Fraction when the surd is rational).
 - interval_mutual_exclusion: the gamma candidates separated by refined
   intervals.
 - rational_routh_hurwitz: the Routh array with every row over Q.
@@ -302,6 +304,28 @@ def refined_surd_to_float(x, precision):
             if lo_s == _round_sig(enc.hi, precision, half_even=False):
                 return lo_s
         digits *= 2
+
+
+def mpmath_surd_sign(x, r):
+    """Sign of the QuadSurd x minus the rational r.
+
+    A rational x is decided by Fraction. Otherwise x - r is irrational and
+    is evaluated by mpmath at 120 digits; the check that it lies above
+    10^-90 keeps the sign out of reach of the evaluation error for values
+    up to about 10^25.
+    """
+    r = Fraction(r)
+    if x.is_rational:
+        diff = x.a - r
+        return (diff > 0) - (diff < 0)
+    with mp.workdps(120):
+        diff = (
+            mp.mpf(x.a.numerator) / x.a.denominator
+            + mp.mpf(x.b.numerator) / x.b.denominator * mp.sqrt(x.d)
+            - mp.mpf(r.numerator) / r.denominator
+        )
+        assert abs(diff) > mp.mpf(10) ** -90, (x, r)
+        return 1 if diff > 0 else -1
 
 
 def interval_mutual_exclusion(n, m, precision=9):

@@ -273,6 +273,15 @@ def test_zero_denominator_arguments_are_usage_errors(capsys):
         assert f"argument {name}: invalid Fraction value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--omega-max", "1", "--points", "3"]])
+def test_budak_source_with_a_zero_gamma_denominator_is_a_usage_error(capsys, argv):
+    # the G field reads as --gamma does, with its wording
+    code, _, err = run(capsys, [*argv, "--source", "budak:2,3,1/0"])
+    assert code == 2
+    assert "bad source spec 'budak:2,3,1/0': invalid Fraction value: '1/0'" in err
+    assert "Fraction(1, 0)" not in err and "Traceback" not in err
+
+
 def _argparse_reads_as_a_flag(token):
     """Whether this Python's argparse takes `token`, after an option that
     needs a value, for an option of its own. The argparse of Python 3.11

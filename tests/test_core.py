@@ -21,6 +21,7 @@ from besselpade.budak import (
     delay_gamma_polynomials,
     gamma_candidates,
     gamma_order2,
+    magnitude_gamma_mismatch,
     mutual_exclusion,
     order2_certificate,
 )
@@ -346,6 +347,17 @@ def test_interpolate_matches_the_polynomial_per_step_assembly():
     for _ in range(10):
         xs = rng.sample(sorted({F(p, q) for p in range(-12, 13) for q in (1, 2, 3, 7)}), rng.randint(1, 9))
         cases.append([(x, F(rng.randint(-99, 99), rng.randint(1, 20))) for x in xs])
+    # 40 points with rational abscissae and 30-digit ordinates
+    xs = rng.sample(sorted({F(p, q) for p in range(-40, 41) for q in range(1, 12)}), 40)
+    cases.append([(x, F(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6))) for x in xs])
+    # integer samples of a magnitude mismatch at gamma = 0..2j, the points
+    # magnitude_gamma_mismatch interpolates: they give back its closed form
+    for n, m, j in ((2, 1, 1), (8, 7, 2), (16, 15, 16), (16, 1, 9)):
+        nums, _ = magnitude_gamma_mismatch(n, m, j).integer_form
+        c = rng.randint(1, 10**6)
+        points = [(t, c * sum(x * t**k for k, x in enumerate(nums))) for t in range(2 * j + 1)]
+        assert interpolate(points) == Polynomial.from_integer_form([c * x for x in nums]), (n, m, j)
+        cases.append(points)
     # through every point with degree below their number: the unique interpolant
     for points in cases:
         got = interpolate(points)
@@ -523,6 +535,34 @@ def test_quadsurd_compare():
     assert neg.compare_to_rational(1) < 0
     assert neg.compare_to_rational(F(1, 2)) > 0
     assert QuadSurd(2, 0, 1).compare_to_rational(2) == 0
+
+
+def test_compare_to_rational_matches_an_independent_oracle():
+    cases = []
+    # r = a exactly (t = 0), b = 0, negative b, and r near the surd
+    for _ in range(1500):
+        a = F(rng.randint(-(10 ** rng.randint(0, 12)), 10 ** rng.randint(0, 12)), rng.randint(1, 10**6))
+        b = F(rng.randint(-(10 ** rng.randint(0, 12)), 10 ** rng.randint(0, 12)), rng.randint(1, 10**6))
+        x = QuadSurd(a, rng.choice([0, b, -abs(b)]), rng.choice([2, 3, 5, 6, 7, 15, 99991]))
+        near = F(float(x)).limit_denominator(rng.randint(1, 10**6))
+        r = F(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6))
+        cases += [(x, a), (x, r), (x, near), (x, rng.randint(-5, 5))]
+    # sqrt(2) convergents p/q lie within 1/(2 q^2) of sqrt(2); the last
+    # ones, with q past 10^10, within 10^-20
+    p, q = 1, 1
+    for _ in range(30):
+        for x in (QuadSurd(0, 1, 2), QuadSurd(0, -1, 2), QuadSurd(F(1, 3), F(5, 7), 2)):
+            cases += [(x, F(p, q)), (x, -F(p, q)), (x, F(1, 3) + F(5 * p, 7 * q))]
+        cases += [(QuadSurd(p, -q, 2), 0), (QuadSurd(F(p, 1000), F(-q, 1000), 2), 0)]
+        p, q = p + 2 * q, p + q
+    # the order-2 gammas of the paper's grid against 1/2, 1 and powers of ten
+    for n in range(2, 17):
+        for m in range(1, n):
+            roots = gamma_order2(n, m)
+            for x in (roots.gamma_plus, roots.gamma_minus):
+                cases += [(x, r) for r in (F(1, 2), 1, *[F(10) ** e for e in range(-3, 4)])]
+    for x, r in cases:
+        assert x.compare_to_rational(r) == _oracles.mpmath_surd_sign(x, r), (x, r)
 
 
 def test_quadsurd_str():

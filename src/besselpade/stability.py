@@ -1,18 +1,23 @@
 """Exact Routh-Hurwitz classification.
 
 The array is computed exactly, with no epsilon perturbation, in one pass
-of n + 1 rows. Each rational row R_i is held as integers T_i over one
-positive denominator d_i, R_i = T_i / d_i. The first two rows are sliced
-from p's `integer_form` (every other numerator, from the top), over its
-lcm, and negated when the leading coefficient is negative, so that the
-array starts with a positive entry. The rational recurrence
+of n + 1 rows. Row i holds the coefficients of s^(n-i), s^(n-i-2), ...
+and is kept at its true length, floor((n - i)/2) + 1 entries. Each
+rational row R_i is held as integers T_i over one positive denominator
+d_i, R_i = T_i / d_i. The first two rows are sliced from p's
+`integer_form` (every other numerator, from the top), over its lcm, and
+negated when the leading coefficient is negative, so that the array
+starts with a positive entry. The rational recurrence
 
     R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
 
 becomes T_{i+1}[j] = T_i[0] T_{i-1}[j+1] - T_{i-1}[0] T_i[j+1] over
-d_{i+1} = d_{i-1} T_i[0], after which the gcd of d_{i+1} and the row is
-divided out and the sign of d_{i+1} moved into T_{i+1}. Every step is
-exact, so R_i[0] is exactly T_i[0] / d_i, and since d_i > 0 its signs
+d_{i+1} = d_{i-1} T_i[0], with T_i[j+1] = 0 past the end of T_i: where
+n - i is odd, T_{i-1} is one entry longer, and the last entry of T_{i+1}
+is T_i[0] T_{i-1}[-1] alone. The gcd of d_{i+1} and the row (padding
+zeros would not change it), signed as d_{i+1}, is divided out, so that
+d_{i+1} > 0; a row whose signed gcd is 1 is kept as formed. Every step
+is exact, so R_i[0] is exactly T_i[0] / d_i, and since d_i > 0 its signs
 are those of the integers T_i[0]. Each row's sign change is taken as the
 row is produced, and the pass keeps no list of rows: it keeps only the
 integer pairs (T_i[0], d_i) of the leading column, which the report
@@ -20,11 +25,12 @@ turns into Fractions when its column is first read. A classification
 that is asked only for its verdict forms no Fraction at all.
 Two degeneracies are rewritten in place, on the integers alone (a zero
 row takes the denominator of the row above, a zero pivot keeps its own),
-so every row keeps its full degree and a nonzero leading entry:
+so every row keeps its length and a nonzero leading entry:
 
 * a full zero row is replaced by the derivative of the auxiliary
   polynomial read off the row above (covers imaginary-axis roots,
-  including the origin and repeated axis pairs);
+  including the origin and repeated axis pairs), at the row's length:
+  an extra entry above is the auxiliary constant, whose term is 0;
 * a nonzero row whose first k entries vanish (a zero pivot) is
   multiplied, as a polynomial in s, by 1 + (-s^2)^k: entry j becomes
   row[j] + (-1)^k * row[j + k], and the leading entry (-1)^k * row[k]
@@ -102,17 +108,13 @@ class StabilityReport(Record):
 
 
 def _report(
-    verdict: Verdict,
-    column_pairs: list[tuple[int, int]],
-    sign_changes: int,
-    degenerate_rows: tuple[int, ...],
+    verdict: Verdict, pairs: list[tuple[int, int]], changes: int, rows: tuple[int, ...]
 ) -> StabilityReport:
     """A report whose column is formed from its pairs on first read."""
     report = object.__new__(StabilityReport)
-    object.__setattr__(report, "verdict", verdict)
-    object.__setattr__(report, "_column_pairs", column_pairs)
-    object.__setattr__(report, "sign_changes", sign_changes)
-    object.__setattr__(report, "degenerate_rows", degenerate_rows)
+    report.__dict__.update(
+        verdict=verdict, _column_pairs=pairs, sign_changes=changes, degenerate_rows=rows
+    )
     return report
 
 
@@ -122,12 +124,8 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
     n = len(nums) - 1
     if n < 1:
         raise ValueError("need a nonzero polynomial of degree at least 1")
-    width = n // 2 + 1
-    # entry j of the first two rows is the numerator of the coefficient
-    # of s^(top - 2j), zero at negative powers, over p's denominator
+    # entry j of the first two rows: the numerator of s^(top - 2j) over p's denominator
     above, row = list(nums[n::-2]), list(nums[n - 1 :: -2])
-    if len(row) < width:
-        row.append(0)
     if nums[-1] < 0:
         above, row = [-c for c in above], [-c for c in row]
     d_above = d_row = den
@@ -143,9 +141,9 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         if pivot == 0:
             if not any(row):
                 degenerate.append(i)
-                # derivative of the auxiliary polynomial of the row above:
-                # entry j sits at power (n - i) - 2j
-                row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above)]
+                # derivative of the auxiliary polynomial of the row above,
+                # at this row's length: entry j sits at power (n - i) - 2j
+                row = [(n - i + 1 - 2 * j) * c for j, c in enumerate(above[: len(row)])]
                 d_row = d_above
             else:
                 if first_pivot is None:
@@ -155,7 +153,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
                 # k leading zeros: multiply the row by 1 + (-s^2)^k
                 k = next(j for j, c in enumerate(row) if c)
                 sign = (-1) ** k
-                row = [c + sign * row[j + k] if j + k < width else c for j, c in enumerate(row)]
+                row = [c + sign * row[j + k] if j + k < len(row) else c for j, c in enumerate(row)]
             pivot = row[0]
         if (pivot > 0) != positive:
             positive = not positive
@@ -165,16 +163,17 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         if i == n:
             break
         # R_{i+1}[j] = (R_i[0] R_{i-1}[j+1] - R_{i-1}[0] R_i[j+1]) / R_i[0]
-        # is nxt[j] / (d_{i-1} T_i[0]) for R_i = T_i / d_i
+        # is nxt[j] / (d_{i-1} T_i[0]) for R_i = T_i / d_i; R_i[j+1] = 0 past its end
         pivot_above = above[0]
         nxt = [pivot * a - pivot_above * b for a, b in zip(above[1:], row[1:])]
-        nxt.append(0)
+        if len(above) > len(row):
+            nxt.append(pivot * above[-1])
         d_nxt = d_above * pivot
         g = math.gcd(d_nxt, *nxt)
         if d_nxt < 0:
             g = -g
         above, d_above = row, d_row
-        row, d_row = [c // g for c in nxt], d_nxt // g
+        row, d_row = (nxt, d_nxt) if g == 1 else ([c // g for c in nxt], d_nxt // g)
     if first_pivot is not None:
         degenerate = [first_pivot]
     if changes > 0:

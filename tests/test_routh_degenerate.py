@@ -118,6 +118,20 @@ def test_an_unread_report_keeps_its_value_semantics():
         Polynomial([-60, -36, -9, -1]),  # a negative leading coefficient
         Polynomial([F(2, 3), F(5, 2), F(7, 4), 1]),  # denominators above 1
     ]
+    # the last rows of the array hold one or two entries, and a row is one
+    # entry shorter than the row above it where n - i is odd: degeneracies
+    # there, with the rows the report must name
+    short_rows = [
+        (Polynomial([0, 0, 1]), (1, 2)),  # s^2: zero rows 1 and 2
+        (Polynomial([0, 1, 1, 2, 2, 1, 1]), (2, 5)),  # s(s + 1)(s^2 + 1)^2: zero rows 2 and 5
+        (Polynomial([1, 1, 0, 0, 1, 1]), (3,)),  # s^5 + s^4 + s + 1: a zero pivot at row 3
+        (Polynomial([1, 0, 0, 1]), (1,)),  # s^3 + 1: a zero pivot at row 1
+        (Polynomial([4, 0, 5, 0, 1]), (1,)),  # s^4 + 5s^2 + 4, even: a zero second row
+        (Polynomial([0, 4, 0, 5, 0, 1]), (1,)),  # s^5 + 5s^3 + 4s, odd: a zero second row
+    ]
+    for p, rows in short_rows:
+        assert routh_hurwitz(p).degenerate_rows == rows, p
+    inputs += [p for p, _ in short_rows]
     inputs += [p for seed in (77, 78, 79, 80) for p, _, _ in known_root_polys(seed, 50)]
     for p in inputs:
         eager = _oracles.rational_routh_hurwitz(p)  # built with its column

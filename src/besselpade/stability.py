@@ -14,11 +14,10 @@ starts with a positive entry. The rational recurrence
 becomes T_{i+1}[j] = T_i[0] T_{i-1}[j+1] - T_{i-1}[0] T_i[j+1] over
 d_{i+1} = d_{i-1} T_i[0], with T_i[j+1] = 0 past the end of T_i: where
 n - i is odd, T_{i-1} is one entry longer, and the last entry of T_{i+1}
-is T_i[0] T_{i-1}[-1] alone. The gcd of d_{i+1} and the row (padding
-zeros would not change it), signed as d_{i+1}, is divided out, so that
-d_{i+1} > 0; a row whose signed gcd is 1 is kept as formed. Every step
-is exact, so R_i[0] is exactly T_i[0] / d_i, and since d_i > 0 its signs
-are those of the integers T_i[0]. Each row's sign change is taken as the
+is T_i[0] T_{i-1}[-1] alone. The gcd of d_{i+1} and the row, signed as
+d_{i+1}, is divided out, so that d_{i+1} > 0. Every step is exact, so
+R_i[0] is exactly T_i[0] / d_i, and since d_i > 0 its signs are those of
+the integers T_i[0]. Each row's sign change is taken as the
 row is produced, and the pass keeps no list of rows: it keeps only the
 integer pairs (T_i[0], d_i) of the leading column, which the report
 turns into Fractions when its column is first read. A classification
@@ -107,24 +106,14 @@ class StabilityReport(Record):
         return tuple([Fraction(p) if d == 1 else Fraction(p, d) for p, d in self._column_pairs])
 
 
-def _report(
-    verdict: Verdict, pairs: list[tuple[int, int]], changes: int, rows: tuple[int, ...]
-) -> StabilityReport:
-    """A report whose column is formed from its pairs on first read."""
-    report = object.__new__(StabilityReport)
-    report.__dict__.update(
-        verdict=verdict, _column_pairs=pairs, sign_changes=changes, degenerate_rows=rows
-    )
-    return report
-
-
 def routh_hurwitz(p: Polynomial) -> StabilityReport:
     """Classify a polynomial of degree >= 1."""
     nums, den = p.integer_form
     n = len(nums) - 1
     if n < 1:
         raise ValueError("need a nonzero polynomial of degree at least 1")
-    # entry j of the first two rows: the numerator of s^(top - 2j) over p's denominator
+    # entry j of the first two rows is the numerator of the coefficient
+    # of s^(top - 2j), zero at negative powers, over p's denominator
     above, row = list(nums[n::-2]), list(nums[n - 1 :: -2])
     if nums[-1] < 0:
         above, row = [-c for c in above], [-c for c in row]
@@ -173,7 +162,7 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         if d_nxt < 0:
             g = -g
         above, d_above = row, d_row
-        row, d_row = (nxt, d_nxt) if g == 1 else ([c // g for c in nxt], d_nxt // g)
+        row, d_row = [c // g for c in nxt], d_nxt // g
     if first_pivot is not None:
         degenerate = [first_pivot]
     if changes > 0:
@@ -182,7 +171,15 @@ def routh_hurwitz(p: Polynomial) -> StabilityReport:
         verdict = Verdict.MARGINAL
     else:
         verdict = Verdict.STRICT_HURWITZ
-    return _report(verdict, column, changes, tuple(degenerate))
+    # a report whose column is formed from its pairs on first read
+    report = object.__new__(StabilityReport)
+    report.__dict__.update(
+        verdict=verdict,
+        _column_pairs=column,
+        sign_changes=changes,
+        degenerate_rows=tuple(degenerate),
+    )
+    return report
 
 
 class Theorem1Report(Record):

@@ -313,7 +313,7 @@ def test_routh_matches_the_leading_pairs_and_rational_arrays():
     polys += [pade_denominator(PadeIndex(n, m)) for n in range(1, 25) for m in {0, n // 2, n - 1, n}]
     # the paper's largest degrees: the stable Bessel and Pade denominators
     polys += [classical_bessel(86)] + [pade_denominator(PadeIndex(41, m)) for m in (0, 20, 40, 41)]
-    polys += [-p for p in polys[-30:]]
+    polys += [-p for p in polys[-35:]]
     kinds = ("negative", "degree 1", "degree 2", "zero row", "zero pivot", "rational entry")
     seen = dict.fromkeys(kinds, 0)
     for p in polys:

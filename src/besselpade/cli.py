@@ -2,10 +2,10 @@
 
 Subcommands: gbp | pade | budak | analyze | sweep | compare. Reports are
 plain text by default and JSON with --json; all rationals cross the
-boundary as exact "p/q" strings. Decimals appear only in CSV sweeps and
-surd renderings, whose digit count comes from BESSELPADE_PRECISION
-(default 12). Exit codes: 0 success, 2 usage error, 1 computational
-error or a closed stdout.
+boundary as exact "p/q" strings. Decimals appear only in CSV sweeps,
+which print each double's full repr, and in surd renderings, whose digit
+count comes from BESSELPADE_PRECISION (default 12). Exit codes: 0
+success, 2 usage error, 1 computational error or a closed stdout.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _flatness_dict(report: FlatnessReport) -> dict:
     }
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit_json(command: str, payload: dict) -> None:
+    print(json.dumps({"report_version": 1, "command": command, **payload}, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +164,8 @@ def design_report(tf: TransferFunction, provenance: dict) -> DesignReport:
     )
 
 
-def _report_dict(report: DesignReport, command: str) -> dict:
+def _report_dict(report: DesignReport) -> dict:
     return {
-        "report_version": 1,
-        "command": command,
         "provenance": report.provenance,
         "transfer_function": _tf_dict(report.tf),
         "stability": _stability_dict(report.stability),
@@ -181,7 +179,7 @@ def _emit_report(tf: TransferFunction, provenance: dict, command: str, as_json: 
     """Print the design report of tf, as JSON or as plain text."""
     report = design_report(tf, provenance)
     if as_json:
-        _emit_json(_report_dict(report, command))
+        _emit_json(command, _report_dict(report))
         return
     stab = report.stability
     column = ", ".join(str(c) for c in stab.routh_first_column)
@@ -201,6 +199,14 @@ def _emit_report(tf: TransferFunction, provenance: dict, command: str, as_json: 
 # ---------------------------------------------------------------------------
 # Source specs
 # ---------------------------------------------------------------------------
+
+# the form of each source kind, as --source help and field-count errors name it
+_SOURCE_FORMS = {
+    "pade": "pade:N,M",
+    "budak": "budak:M,N,G",
+    "bessel": "bessel:N",
+    "file": "file:PATH",
+}
 
 
 def _load_tf_file(path: str) -> TransferFunction:
@@ -239,8 +245,8 @@ def _file_polynomial(data: dict, field: str) -> Polynomial:
 
 
 def source_tf(spec: str) -> tuple[TransferFunction, dict]:
-    """Resolve "pade:N,M" | "budak:M,N,G" | "bessel:N" | "file:PATH" into
-    the transfer function and its provenance."""
+    """Resolve a source spec, in one of the `_SOURCE_FORMS`, into the
+    transfer function and its provenance."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(f"source spec needs a kind prefix, got {spec!r}")
@@ -253,7 +259,7 @@ def source_tf(spec: str) -> tuple[TransferFunction, dict]:
         }
         return tf, provenance
     fields = rest.split(",")
-    form = {"pade": "pade:N,M", "budak": "budak:M,N,G", "bessel": "bessel:N"}.get(kind)
+    form = _SOURCE_FORMS.get(kind)
     if form and len(fields) != form.count(",") + 1:
         raise UsageError(f"bad source spec {spec!r}: expected {form}")
     try:
@@ -300,15 +306,14 @@ def _cmd_gbp(args, precision: int) -> int:
     descending = [str(poly.coeff(k)) for k in range(poly.degree, -1, -1)]
     if args.json:
         _emit_json(
+            "gbp",
             {
-                "report_version": 1,
-                "command": "gbp",
                 "n": args.n,
-                "alpha": str(Fraction(args.alpha)),
-                "beta": str(Fraction(args.beta)),
+                "alpha": str(args.alpha),
+                "beta": str(args.beta),
                 "coefficients_descending": descending,
                 "rendered": str(poly),
-            }
+            },
         )
     else:
         print(poly)
@@ -324,12 +329,11 @@ def _cmd_pade(args, precision: int) -> int:
         _emit_report(tf, provenance, "pade", args.json)
     elif args.json:
         _emit_json(
+            "pade",
             {
-                "report_version": 1,
-                "command": "pade",
                 "provenance": provenance,
                 "transfer_function": _tf_dict(tf),
-            }
+            },
         )
     else:
         print(tf)
@@ -349,9 +353,8 @@ def _cmd_budak(args, precision: int) -> int:
         pair = gamma_order2(args.n, args.m)
         if args.json:
             _emit_json(
+                "budak-order2",
                 {
-                    "report_version": 1,
-                    "command": "budak-order2",
                     "m": args.m,
                     "n": args.n,
                     "gamma_plus": _surd_entry(pair.gamma_plus, precision),
@@ -360,7 +363,7 @@ def _cmd_budak(args, precision: int) -> int:
                         "rendered": pair.quadratic.to_str("gamma"),
                         "coefficients_ascending": _poly_strings(pair.quadratic),
                     },
-                }
+                },
             )
         else:
             for surd in (pair.gamma_plus, pair.gamma_minus):
@@ -375,7 +378,7 @@ def _cmd_budak(args, precision: int) -> int:
         "family": "budak",
         "m": args.m,
         "n": args.n,
-        "gamma": str(Fraction(args.gamma)),
+        "gamma": str(args.gamma),
     }
     _emit_report(tf_from_provenance(provenance), provenance, "budak", args.json)
     return 0
@@ -487,13 +490,12 @@ def _cmd_compare(args, precision: int) -> int:
     rows = _compare_rows(args.n, args.m, precision)
     if args.json:
         _emit_json(
+            "compare",
             {
-                "report_version": 1,
-                "command": "compare",
                 "n": args.n,
                 "m": args.m,
                 "rows": rows,
-            }
+            },
         )
         return 0
     headers = ["variant", "delay_order", "magnitude_order", "minimum_phase", "stability"]
@@ -549,7 +551,6 @@ def _gbp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gbp)
 
 
 def _pade_arguments(p: argparse.ArgumentParser) -> None:
@@ -557,7 +558,6 @@ def _pade_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--analyze", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pade)
 
 
 def _budak_arguments(p: argparse.ArgumentParser) -> None:
@@ -566,38 +566,35 @@ def _budak_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=_rational)
     p.add_argument("--order2-gamma", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_budak)
 
 
 def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+    p.add_argument("--source", required=True, help=" | ".join(_SOURCE_FORMS.values()))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", required=True, help="pade:N,M | budak:M,N,G | bessel:N | file:PATH")
+    p.add_argument("--source", required=True, help=" | ".join(_SOURCE_FORMS.values()))
     p.add_argument("--omega-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--output", help="target CSV path (omit or '-' for stdout)")
-    p.set_defaults(func=_cmd_sweep)
 
 
 def _compare_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compare)
 
 
-# each subcommand's help summary and the function that adds its arguments
+# each subcommand's help summary, the function that adds its arguments and
+# the function that runs it
 _SUBCOMMANDS = {
-    "gbp": ("construct a generalized Bessel polynomial", _gbp_arguments),
-    "pade": ("(n,m) delay approximant", _pade_arguments),
-    "budak": ("two-sided scaled-Bessel approximant", _budak_arguments),
-    "analyze": ("full report for a transfer function source", _analyze_arguments),
-    "sweep": ("CSV frequency sweep", _sweep_arguments),
-    "compare": ("side-by-side approximant table", _compare_arguments),
+    "gbp": ("construct a generalized Bessel polynomial", _gbp_arguments, _cmd_gbp),
+    "pade": ("(n,m) delay approximant", _pade_arguments, _cmd_pade),
+    "budak": ("two-sided scaled-Bessel approximant", _budak_arguments, _cmd_budak),
+    "analyze": ("full report for a transfer function source", _analyze_arguments, _cmd_analyze),
+    "sweep": ("CSV frequency sweep", _sweep_arguments, _cmd_sweep),
+    "compare": ("side-by-side approximant table", _compare_arguments, _cmd_compare),
 }
 
 
@@ -619,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments) in _SUBCOMMANDS.items():
+    for name, (summary, add_arguments, _) in _SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=summary, formatter_class=formatter))
     return parser
 
@@ -646,7 +643,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         precision = _precision_from_env()
-        code = args.func(args, precision)
+        code = _SUBCOMMANDS[args.command][2](args, precision)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # the reader has gone: the rest goes to os.devnull, not a traceback
@@ -655,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

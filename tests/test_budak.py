@@ -330,6 +330,8 @@ def test_mutual_exclusion_reports():
     rep1312 = mutual_exclusion(13, 12)
     assert rep1312.all_disjoint and rep1312.all_above_half
     assert len(rep1312.pairs_checked) == 66
+    with pytest.raises(ValueError, match="need 1 <= m < n"):
+        mutual_exclusion(3, 3)
 
 
 def test_mutual_exclusion_agrees_with_interval_separation():
@@ -356,6 +358,11 @@ def test_delay_block_printed_polynomials():
     assert block.b(5) == g1**4 * G**6
     assert len(block.numerator_polys) == 4
     assert len(block.denominator_polys) == 5
+    # indices run from 1; the denominator's last is n + m
+    with pytest.raises(IndexError, match="numerator coefficient index 0 out of range"):
+        block.a(0)
+    with pytest.raises(IndexError, match="denominator coefficient index 6 out of range"):
+        block.b(6)
 
 
 def test_delay_block_second_coefficient_gap():

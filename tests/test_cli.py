@@ -259,6 +259,9 @@ def test_budak_bad_gamma(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["budak", "--m", "2", "--n", "3", "--gamma", "0"])
     assert code == 2
+    code, _, err = run(capsys, ["budak", "--m", "3", "--n", "2", "--gamma", "1"])
+    assert code == 2
+    assert err == "error: need 0 <= m <= n and n >= 1\n"
 
 
 def test_zero_denominator_arguments_are_usage_errors(capsys):
@@ -316,6 +319,23 @@ def test_negative_rational_arguments(capsys, alpha, beta):
     assert "expected one argument" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["gbp", "--n", "3", "--alpha", "1", "--beta", "1"], "gbp"),
+        (["pade", "--n", "3", "--m", "2"], "pade"),
+        (["pade", "--n", "3", "--m", "2", "--analyze"], "pade"),
+        (["budak", "--m", "2", "--n", "3", "--gamma", "7/3"], "budak"),
+        (["budak", "--m", "2", "--n", "3", "--order2-gamma"], "budak-order2"),
+        (["analyze", "--source", "pade:3,2"], "analyze"),
+        (["compare", "--n", "3", "--m", "2"], "compare"),
+    ],
+)
+def test_every_json_report_opens_with_its_version_and_command(capsys, argv, command):
+    payload = run_json(capsys, [*argv, "--json"])
+    assert list(payload.items())[:2] == [("report_version", 1), ("command", command)]
+
+
 def test_budak_order2_plain(capsys, monkeypatch):
     monkeypatch.setenv("BESSELPADE_PRECISION", "4")
     code, out, _ = run(capsys, ["budak", "--m", "2", "--n", "3", "--order2-gamma"])
@@ -344,6 +364,8 @@ def test_analyze_sources_round_trip():
     for spec in ("pade:3,2", "budak:2,3,7/3", "bessel:4"):
         tf, provenance = source_tf(spec)
         assert tf_from_provenance(provenance) == tf
+    with pytest.raises(ValueError, match="unknown provenance family 'orbit'"):
+        tf_from_provenance({"family": "orbit"})
 
 
 def test_analyze_file_source(tmp_path, capsys):

@@ -62,6 +62,15 @@ def test_construction_strips_trailing_zeros():
     assert p.coefficients == (F(1), F(2))
     assert Polynomial([0, 0]).is_zero
     assert Polynomial().degree == -1
+    zero = Polynomial()
+    for query, message in (
+        (zero.monic, "cannot normalize the zero polynomial"),
+        (zero.content, "zero polynomial has no content"),
+        (lambda: zero.leading, "zero polynomial has no leading coefficient"),
+        (zero.lowest_nonzero_power, "zero polynomial"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            query()
 
 
 def test_coeff_beyond_degree_is_zero():
@@ -88,12 +97,17 @@ def test_divmod_identity():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(Polynomial([1]), Polynomial())
 
 
 def test_pow_and_monomial():
     s = Polynomial([0, 1])
     assert s**3 == Polynomial.monomial(3)
     assert (s + Polynomial([1])) ** 2 == Polynomial([1, 2, 1])
+    assert Polynomial.constant(F(3, 4)) == Polynomial([F(3, 4)])
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        s**-1
 
 
 def test_evaluation_types():
@@ -272,6 +286,7 @@ def test_rational_function_type_contract():
     assert str(tf) == "(3/4 s + 1/2) / (s^2 + 1/4)"
     assert str(erf) == "(3/4 u + 1/2) / (u^2 + 1/4)"
     assert tf.value_at(F(1)) == erf.value_at(F(1)) == F(1)
+    assert tf.at_origin() == erf.at_origin() == 2
     with pytest.raises(ZeroDivisionError):
         TransferFunction(a, Polynomial([0, 1])).at_origin()
 
@@ -284,6 +299,8 @@ def test_series_of_ratio_examples():
     assert series_of_ratio(p, p, 3).coefficients == (F(1), F(0), F(0))
     with pytest.raises(ZeroDivisionError):
         series_of_ratio(one, Polynomial([0, 1]), 3)
+    with pytest.raises(ValueError, match="terms must be non-negative"):
+        series_of_ratio(one, Polynomial([1, 1]), -1)
 
 
 def test_series_of_ratio_multiplies_back():
@@ -306,6 +323,8 @@ def test_exp_series():
     assert all(c == 0 for c in prod.coefficients[1:])
     with pytest.raises(ValueError):
         exp_series(2, 4)
+    with pytest.raises(ValueError, match="terms must be at least 1"):
+        exp_series(1, 0)
 
 
 def test_truncated_series_truncates_to_shorter():
@@ -314,6 +333,12 @@ def test_truncated_series_truncates_to_shorter():
     assert (a + b).order == 2
     assert (a * b).coefficients == (F(1), F(3))
     assert TruncatedSeries([0, 0]).first_nonzero() is None
+    c = TruncatedSeries([1, F(1, 2), 3])
+    assert 2 * c == c * 2 == TruncatedSeries([2, 1, 6])
+    assert c * F(1, 3) == TruncatedSeries([F(1, 3), F(1, 6), 1])
+    assert c[1] == F(1, 2)
+    assert hash(c) == hash(TruncatedSeries([1, F(1, 2), 3]))
+    assert repr(c) == "TruncatedSeries([1, 1/2, 3])"
 
 
 def test_interpolate_examples():
@@ -367,6 +392,8 @@ def test_interpolate_matches_the_polynomial_per_step_assembly():
 
 def test_int_nth_root():
     assert int_nth_root(0, 3) == 0
+    with pytest.raises(ValueError, match="requires n >= 0, k >= 1"):
+        int_nth_root(-1, 2)
     assert int_nth_root(26, 3) == 2
     assert int_nth_root(27, 3) == 3
     assert int_nth_root(10**30, 2) == 10**15
@@ -390,6 +417,8 @@ def test_nth_root_enclosure():
     enc = nth_root_enclosure(F(2), 2, 10)
     assert enc.width <= F(1, 10**10)
     assert enc.lo**2 <= 2 <= enc.hi**2
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        nth_root_enclosure(F(-1), 2, 3)
 
 
 def test_enclosure_invariants():
@@ -400,6 +429,7 @@ def test_enclosure_invariants():
     assert a.disjoint_from(b) and b.disjoint_from(a)
     assert not a.disjoint_from(Enclosure(F(1, 2), F(2)))
     assert a.contains(F(1, 2))
+    assert float(Enclosure(F(1), F(2))) == 1.5
 
 
 def test_enclosure_rejects_an_empty_interval_by_name():
@@ -521,6 +551,9 @@ def test_quadsurd_normalization():
     assert QuadSurd(3, 0, 2).is_rational
     with pytest.raises(ValueError):
         QuadSurd(0, 1, -5)
+    assert QuadSurd.from_rational(F(-3, 4)) == QuadSurd(F(-3, 4), 0, 7) == F(-3, 4)
+    assert QuadSurd.from_rational(2) == 2 and QuadSurd(0, 1, 2) != 0
+    assert -QuadSurd(F(5, 2), F(1, 2), 15) == QuadSurd(F(-5, 2), F(-1, 2), 15)
 
 
 def test_quadsurd_compare():
@@ -581,6 +614,8 @@ def test_quadsurd_enclosure():
     # double value sits inside the interval up to representation error
     assert enc.lo - F(1, 10**13) <= F(float(x)) <= enc.hi + F(1, 10**13)
     assert float(x) == pytest.approx(4.436491673, abs=1e-9)
+    # a rational surd is its own degenerate interval
+    assert QuadSurd.from_rational(F(-3, 4)).enclosure(5) == Enclosure(F(-3, 4), F(-3, 4))
 
 
 def test_surd_to_float_examples():
@@ -588,6 +623,8 @@ def test_surd_to_float_examples():
     assert surd_to_float(QuadSurd(3, 0, 2), 4) == "3.000"
     assert surd_to_float(QuadSurd(F(5, 2), F(-1, 2), 15), 4) == "0.5635"
     assert surd_to_float(QuadSurd(F(5, 2), F(1, 2), 15), 12) == "4.43649167310"
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        surd_to_float(QuadSurd(F(5, 2), F(1, 2), 15), 0)
 
 
 def test_surd_to_float_rational_rounding():

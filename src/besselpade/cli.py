@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from fractions import Fraction
@@ -55,7 +56,14 @@ class UsageError(Exception):
 
 
 def _poly_strings(p: Polynomial) -> list[str]:
-    return [str(c) for c in p.coefficients]
+    """str(Fraction) of each coefficient, written from `integer_form` in
+    lowest terms by one gcd, as `Polynomial.to_str` writes them."""
+    nums, den = p.integer_form
+    out = []
+    for c in nums:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def _tf_dict(tf: TransferFunction) -> dict:
@@ -236,7 +244,7 @@ def _file_polynomial(data: dict, field: str) -> Polynomial:
             f'"{field}" in a transfer-function file must be an array of numbers or numeric strings'
         )
     try:
-        poly = Polynomial([Fraction(str(c)) for c in value])
+        poly = Polynomial([_fraction(str(c)) for c in value])
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f'bad coefficient in "{field}" of transfer-function file: {exc}') from exc
     if poly.is_zero:
@@ -538,10 +546,30 @@ def _precision_from_env() -> int:
     return value
 
 
+# CPython's default int/str digit limit, as a fixed bound on the decimal
+# exponent of a rational literal: 1e1000000 is a million-digit number, whose
+# conversion to str alone is quadratic in its length
+_MAX_EXPONENT = 4300
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a ValueError for a decimal exponent beyond
+    +-_MAX_EXPONENT; it is read before Fraction makes 10**exponent. An
+    exponent written in more characters than that is refused unread, as
+    int() of a million digits is itself quadratic."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exponent and (
+        len(exponent[1]) > _MAX_EXPONENT or abs(int(exponent[1])) > _MAX_EXPONENT
+    ):
+        raise ValueError(f"decimal exponent of {text!r} is beyond ±{_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _rational(text: str) -> Fraction:
-    """argparse type of a rational: "1/0" is a usage error, as "abc" is."""
+    """argparse type of a rational: "1/0" is a usage error, as "abc" and
+    "1e5000" are."""
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
@@ -598,10 +626,19 @@ _SUBCOMMANDS = {
 }
 
 
-def _help_formatter() -> Callable[..., argparse.HelpFormatter]:
-    """argparse's HelpFormatter at the width argparse itself would use,
-    with the terminal width read once, not by each formatter made."""
-    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+def _help_formatter(columns: int) -> Callable[..., argparse.HelpFormatter]:
+    """argparse's HelpFormatter at the width argparse itself would use on
+    a terminal `columns` wide, read once, not by each formatter made."""
+    return functools.partial(argparse.HelpFormatter, width=columns - 2)
+
+
+@functools.lru_cache
+def _subcommand_parser(name: str, columns: int) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, for a terminal `columns`
+    wide; built on first use and shared by later calls of `main`."""
+    parser = argparse.ArgumentParser(prog=f"besselpade {name}", formatter_class=_help_formatter(columns))
+    _SUBCOMMANDS[name][1](parser)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser. `main` needs it only for a line that names no subcommand or
     leaves an argument over; help wraps at the terminal width read at
     build time."""
-    formatter = _help_formatter()
+    formatter = _help_formatter(shutil.get_terminal_size().columns)
     parser = argparse.ArgumentParser(
         prog="besselpade",
         description="Exact delay-approximation toolbox: polynomials, approximants, stability and flatness reports.",
@@ -626,11 +663,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # subcommand's parser and reads none of them itself, so a line that
     # names a subcommand is parsed by that parser alone: same help, errors
     # and namespace. Only leftovers are the top level's to report.
+    # That parser is built once per terminal width and shared by later
+    # calls, which is safe: parse_known_args writes only the fresh
+    # Namespace it is given, never the parser; its type converters (int,
+    # float, _rational) are pure; and the help strings argparse translates
+    # while building it keep the translation of that first build.
     argv = sys.argv[1:] if argv is None else argv
     args = None
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"besselpade {argv[0]}", formatter_class=_help_formatter())
-        _SUBCOMMANDS[argv[0]][1](parser)
+        parser = _subcommand_parser(argv[0], shutil.get_terminal_size().columns)
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args is None or extras:
         args = build_parser().parse_args(argv)

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -33,6 +35,16 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of a command line, whether main returns
+    its code or argparse exits with it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def test_gbp_plain(capsys):
@@ -276,6 +288,44 @@ def test_zero_denominator_arguments_are_usage_errors(capsys):
         assert f"argument {name}: invalid Fraction value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gbp", "--n", "1", "--alpha", "1e1000000", "--beta", "1"], "argument --alpha: invalid Fraction value: '1e1000000'"),
+        (["gbp", "--n", "1", "--alpha", "1", "--beta=-1e-4301"], "argument --beta: invalid Fraction value: '-1e-4301'"),
+        (["budak", "--m", "1", "--n", "2", "--gamma", "1E+1_000_000"], "argument --gamma: invalid Fraction value"),
+        (
+            ["analyze", "--source", "budak:1,2,1e1000000"],
+            "bad source spec 'budak:1,2,1e1000000': invalid Fraction value: '1e1000000'",
+        ),
+        (
+            ["sweep", "--omega-max", "1", "--points", "3", "--source", "budak:1,2,1e1000000"],
+            "bad source spec 'budak:1,2,1e1000000': invalid Fraction value: '1e1000000'",
+        ),
+        (["analyze", "--source", "file:{big}"], 'bad coefficient in "num" of transfer-function file: '),
+    ],
+)
+def test_a_decimal_exponent_beyond_4300_is_a_usage_error(tmp_path, capsys, argv, message):
+    # 1e1000000 is a million-digit number; writing it out alone takes
+    # minutes, so the literal is refused before it is formed
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"num": ["1", "1e1000000"], "den": [1, 1]}))
+    start = time.perf_counter()
+    code, out, err = outcome(capsys, [arg.format(big=big) for arg in argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+
+
+def test_a_decimal_exponent_of_4300_is_accepted(tmp_path, capsys):
+    code, out, _ = run(capsys, ["gbp", "--n", "1", "--alpha", "1e4300", "--beta", "1"])
+    assert (code, out) == (0, f"s + 1{'0' * 4300}\n")
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps({"num": ["1e-4300"], "den": [1, 1]}))
+    payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    assert payload["provenance"]["num"] == [f"1/1{'0' * 4300}"]
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--omega-max", "1", "--points", "3"]])
 def test_budak_source_with_a_zero_gamma_denominator_is_a_usage_error(capsys, argv):
     # the G field reads as --gamma does, with its wording
@@ -376,6 +426,28 @@ def test_analyze_file_source(tmp_path, capsys):
     assert payload["delay_flatness"]["order"] == 1
     tf = tf_from_provenance(payload["provenance"])
     assert tf == TransferFunction(Polynomial([1]), Polynomial([1, 1]))
+
+
+def _coefficient_strings(tf):
+    return {
+        "num": [str(c) for c in tf.numerator.coefficients],
+        "den": [str(c) for c in tf.denominator.coefficients],
+    }
+
+
+def test_report_coefficients_read_as_str_of_their_fractions(tmp_path, capsys):
+    # negative, zero and not in lowest terms as written
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps({"num": ["6/8", "-3", "0", "2/6"], "den": ["10/4", "1"]}))
+    want = _coefficient_strings(source_tf(f"file:{path}")[0])
+    assert want == {"num": ["3/4", "-3", "0", "1/3"], "den": ["5/2", "1"]}
+    payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    for block in ("provenance", "transfer_function"):
+        assert {key: payload[block][key] for key in want} == want, block
+    for n, m in ((0, 0), (3, 2), (12, 11)):
+        payload = run_json(capsys, ["pade", "--n", str(n), "--m", str(m), "--json"])
+        want = _coefficient_strings(source_tf(f"pade:{n},{m}")[0])
+        assert {key: payload["transfer_function"][key] for key in want} == want, (n, m)
 
 
 @pytest.mark.parametrize(
@@ -1094,3 +1166,68 @@ def test_missing_required_argument_prints_the_subcommand_usage(capsys, name):
     assert (code, out) == (2, "")
     assert err.startswith(f"usage: besselpade {name} ")
     assert f"besselpade {name}: error: the following arguments are required: " in err
+
+
+def test_a_reused_parser_carries_nothing_over(tmp_path, capsys, monkeypatch):
+    # each subcommand's parser is built once and shared by later calls of
+    # main: the same lines in either order must give the same results
+    monkeypatch.setenv("COLUMNS", "100")
+    csv = tmp_path / "out.csv"
+    sweep = ["sweep", "--source", "bessel:3", "--omega-max", "2", "--points", "5"]
+    lines = [
+        ["analyze", "--source", "pade:3,2", "--json"],
+        ["analyze", "--source", "pade:3,2"],
+        ["budak", "--m", "2", "--n", "3", "--gamma", "7/3"],
+        ["budak", "--m", "2", "--n", "3", "--order2-gamma"],
+        [*sweep, "--output", str(csv)],
+        ["analyze", "--json"],
+        sweep,
+        ["pade", "--n", "3", "--m", "2", "--analyze", "--json"],
+        ["pade", "--n", "3", "--m", "2"],
+    ]
+
+    def results(order):
+        out = {}
+        for i in order:
+            out[i] = outcome(capsys, lines[i])
+            if csv.exists():
+                out[i] += (csv.read_text(),)
+                csv.unlink()
+        return out
+
+    forward = results(range(len(lines)))
+    assert forward == results(reversed(range(len(lines))))
+    assert not forward[1][1].startswith("{") and forward[0][1].startswith("{")
+    assert forward[4][1] == "" and forward[4][3] == forward[6][1]
+    assert forward[5][0] == 2 and "required: --source" in forward[5][2]
+    # help wraps at the width of each call, not of the call that built it
+    for columns in ("71", "70", "71"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = outcome(capsys, ["sweep", "-h"])
+        assert code == 0
+        assert ("pade:N,M | budak:M,N,G | bessel:N | file:PATH" in out) == (columns == "71")
+
+
+def test_main_answers_fuzzed_lines_as_a_fresh_full_parser_does(tmp_path, capsys, monkeypatch):
+    # every line the full parser rejects or answers with help must read the
+    # same from main, run twice in one process at varied terminal widths
+    monkeypatch.chdir(tmp_path)  # where an --output a line names would go
+    rng = random.Random(35)
+    names = [*SUBCOMMANDS, "bogus"]
+    first = [*names, *SUBCOMMANDS, "-h", "--"]  # most lines name a subcommand
+    options = sorted({option.split()[0] for _, opts in SUBCOMMANDS.values() for option in opts})
+    tokens = [*names, *options, "-h", "--", "3", "x", "-1/2", "1/0", "pade:3,2"]
+    checked = 0
+    for _ in range(400):
+        argv = [rng.choice(first)] + rng.choices(tokens, k=rng.randint(0, 6))
+        for columns in rng.sample(["70", "71", "100"], 2):
+            monkeypatch.setenv("COLUMNS", columns)
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exc:
+                want = (exc.code, *capsys.readouterr())
+            else:
+                break
+            assert exit_of(capsys, argv) == want, (argv, columns)
+            checked += 1
+    assert checked > 600

@@ -9,6 +9,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from itertools import zip_longest
 from typing import Sequence
 
@@ -50,3 +51,13 @@ def int_add(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
 def derivative(a: Sequence[int]) -> list[int]:
     """d/dx of an ascending integer coefficient list: k * a_k at x^(k-1)."""
     return [k * x for k, x in enumerate(a)][1:]
+
+
+def ratio_strings(nums: Sequence[int], den: int) -> list[str]:
+    """str(Fraction(c, den)) of each c for a positive den, in lowest terms
+    by one gcd and without the "/q" when q = 1, with no Fraction built."""
+    out = []
+    for c in nums:
+        g = math.gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out

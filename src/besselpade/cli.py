@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._intpoly import ratio_strings
 from ._record import Record
 from .budak import BudakParams, budak_tf, gamma_order2, order2_certificate
 from .core import EvenRationalFunction, Polynomial, TransferFunction, surd_to_float
@@ -56,14 +57,8 @@ class UsageError(Exception):
 
 
 def _poly_strings(p: Polynomial) -> list[str]:
-    """str(Fraction) of each coefficient, written from `integer_form` in
-    lowest terms by one gcd, as `Polynomial.to_str` writes them."""
-    nums, den = p.integer_form
-    out = []
-    for c in nums:
-        g = math.gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return out
+    """str(Fraction) of each coefficient, from `integer_form`."""
+    return ratio_strings(*p.integer_form)
 
 
 def _tf_dict(tf: TransferFunction) -> dict:
@@ -626,19 +621,10 @@ _SUBCOMMANDS = {
 }
 
 
-def _help_formatter(columns: int) -> Callable[..., argparse.HelpFormatter]:
-    """argparse's HelpFormatter at the width argparse itself would use on
-    a terminal `columns` wide, read once, not by each formatter made."""
-    return functools.partial(argparse.HelpFormatter, width=columns - 2)
-
-
-@functools.lru_cache
-def _subcommand_parser(name: str, columns: int) -> argparse.ArgumentParser:
-    """The parser of subcommand `name` alone, for a terminal `columns`
-    wide; built on first use and shared by later calls of `main`."""
-    parser = argparse.ArgumentParser(prog=f"besselpade {name}", formatter_class=_help_formatter(columns))
-    _SUBCOMMANDS[name][1](parser)
-    return parser
+def _help_formatter() -> Callable[..., argparse.HelpFormatter]:
+    """argparse's HelpFormatter at the width argparse itself would use,
+    with the terminal width read once, not by each formatter made."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser. `main` needs it only for a line that names no subcommand or
     leaves an argument over; help wraps at the terminal width read at
     build time."""
-    formatter = _help_formatter(shutil.get_terminal_size().columns)
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="besselpade",
         description="Exact delay-approximation toolbox: polynomials, approximants, stability and flatness reports.",
@@ -663,15 +649,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # subcommand's parser and reads none of them itself, so a line that
     # names a subcommand is parsed by that parser alone: same help, errors
     # and namespace. Only leftovers are the top level's to report.
-    # That parser is built once per terminal width and shared by later
-    # calls, which is safe: parse_known_args writes only the fresh
-    # Namespace it is given, never the parser; its type converters (int,
-    # float, _rational) are pure; and the help strings argparse translates
-    # while building it keep the translation of that first build.
     argv = sys.argv[1:] if argv is None else argv
     args = None
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = _subcommand_parser(argv[0], shutil.get_terminal_size().columns)
+        parser = argparse.ArgumentParser(prog=f"besselpade {argv[0]}", formatter_class=_help_formatter())
+        _SUBCOMMANDS[argv[0]][1](parser)
         args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args is None or extras:
         args = build_parser().parse_args(argv)

@@ -15,8 +15,9 @@ polynomial: other modules read it through `Polynomial.integer_form`,
 build from it through `Polynomial.from_integer_form`, take the split on
 the imaginary axis from `Polynomial.jw_split`, and run the list kernels
 of `_intpoly` on it. Canonical forms first try to prove numerator and
-denominator coprime modulo the prime 2^30 - 35, whose residues are one
-CPython digit each, and run Euclid over Q only when that proof fails.
+denominator coprime modulo the prime 2^15 - 19, whose residues and their
+products are one CPython digit each, and run Euclid over Q only when that
+proof fails.
 All values are immutable after construction and every operation is a
 pure function; instances may be freely shared across threads. (A
 `Polynomial` fills three cache slots on first use: its `coefficients` as
@@ -33,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from ._intpoly import convolve, derivative, int_add, square
+from ._intpoly import convolve, derivative, int_add, ratio_strings, square
 from ._record import Record
 
 Coefficient = Union[Fraction, int, str]
@@ -320,19 +321,17 @@ class Polynomial:
         """Render in descending powers, e.g. "s^3 + 9 s^2 + 36 s + 60".
 
         Each coefficient n_k / den is written as str(Fraction) would write
-        it, in lowest terms by one gcd and without the "/q" when q = 1.
+        it (`ratio_strings`).
         """
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        den = self._den
+        signed = ratio_strings(self._nums, self._den)
         for power in range(self.degree, -1, -1):
             c = self._nums[power]
             if not c:
                 continue
-            g = math.gcd(c, den)
-            p, q = abs(c) // g, den // g
-            mag = str(p) if q == 1 else f"{p}/{q}"
+            mag = signed[power].lstrip("-")
             if power:
                 x = var if power == 1 else f"{var}^{power}"
                 body = x if mag == "1" else f"{mag} {x}"
@@ -356,9 +355,9 @@ def poly_scale_substitute(p: Polynomial, c: Coefficient) -> Polynomial:
     return p.scale_substitute(c)
 
 
-# 2^30 - 35, the largest prime below 2^30: a residue is one CPython
-# digit and a product of two residues two digits.
-_GCD_PRIME = 1073741789
+# 2^15 - 19, the largest prime below 2^15: a residue, and a product of two
+# residues, is one CPython digit.
+_GCD_PRIME = 32749
 
 
 def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -390,7 +389,7 @@ def _coprime_mod_prime(a: Sequence[int], b: Sequence[int]) -> bool:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor under exact rational arithmetic.
 
-    Coprimality is first checked modulo the prime P = 2^30 - 35, which
+    Coprimality is first checked modulo the prime P = 2^15 - 19, which
     settles the common case (a constant gcd) without Euclid over Q. Let
     A and B be p and q with denominators cleared, and G a primitive
     integer gcd of A and B over Q. By Gauss's lemma G divides A and B in
@@ -403,8 +402,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     skipped. A nonconstant gcd of the images proves nothing either way
     (s and s + P), so it falls through too. Every nonconstant gcd comes
     from the Euclid loop over Q. Nothing here depends on the size of P;
-    a prime below 2^30 keeps every residue one CPython digit, and a
-    missed proof only costs the Euclid loop, never a different result.
+    a prime below 2^15 keeps every residue and every product of two
+    residues one CPython digit, and a missed proof only costs the Euclid
+    loop, never a different result.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")

@@ -1168,9 +1168,9 @@ def test_missing_required_argument_prints_the_subcommand_usage(capsys, name):
     assert f"besselpade {name}: error: the following arguments are required: " in err
 
 
-def test_a_reused_parser_carries_nothing_over(tmp_path, capsys, monkeypatch):
-    # each subcommand's parser is built once and shared by later calls of
-    # main: the same lines in either order must give the same results
+def test_repeated_calls_carry_nothing_over(tmp_path, capsys, monkeypatch):
+    # main may be called repeatedly in one process: the same lines in
+    # either order must give the same results
     monkeypatch.setenv("COLUMNS", "100")
     csv = tmp_path / "out.csv"
     sweep = ["sweep", "--source", "bessel:3", "--omega-max", "2", "--points", "5"]
@@ -1200,7 +1200,7 @@ def test_a_reused_parser_carries_nothing_over(tmp_path, capsys, monkeypatch):
     assert not forward[1][1].startswith("{") and forward[0][1].startswith("{")
     assert forward[4][1] == "" and forward[4][3] == forward[6][1]
     assert forward[5][0] == 2 and "required: --source" in forward[5][2]
-    # help wraps at the width of each call, not of the call that built it
+    # help wraps at the terminal width of each call
     for columns in ("71", "70", "71"):
         monkeypatch.setenv("COLUMNS", columns)
         code, out, _ = outcome(capsys, ["sweep", "-h"])
@@ -1210,7 +1210,8 @@ def test_a_reused_parser_carries_nothing_over(tmp_path, capsys, monkeypatch):
 
 def test_main_answers_fuzzed_lines_as_a_fresh_full_parser_does(tmp_path, capsys, monkeypatch):
     # every line the full parser rejects or answers with help must read the
-    # same from main, run twice in one process at varied terminal widths
+    # same from main, which parses a line that names a subcommand with that
+    # subcommand's parser alone; each line runs at two terminal widths
     monkeypatch.chdir(tmp_path)  # where an --output a line names would go
     rng = random.Random(35)
     names = [*SUBCOMMANDS, "bogus"]

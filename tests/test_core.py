@@ -174,15 +174,16 @@ def test_gcd_examples():
     s2, s3 = Polynomial([2, 1]), Polynomial([3, 1])
     assert poly_gcd(Polynomial([1, big]) * s2, s2 * s3) == s2
     # the same cases at the prime of poly_gcd's modular coprimality check
-    prime = (1 << 30) - 35
-    assert poly_gcd(s, s + Polynomial([prime])) == one
-    assert poly_gcd(Polynomial([1, prime]), s) == one
-    shared = Polynomial([F(1, prime), 1])
-    assert poly_gcd(s * Polynomial([1, prime]), Polynomial([1, prime])) == shared
-    assert poly_gcd(Polynomial([1, prime]), s * Polynomial([1, prime])) == shared
-    assert poly_gcd(Polynomial([1, prime]) * s2, s2 * s3) == s2
-    # the prime in the shared factor
-    assert poly_gcd(Polynomial([prime, 1]) * s2, Polynomial([prime, 1]) * s3) == Polynomial([prime, 1])
+    # (2^15 - 19) and at the one before it (2^30 - 35)
+    for prime in ((1 << 15) - 19, (1 << 30) - 35):
+        assert poly_gcd(s, s + Polynomial([prime])) == one
+        assert poly_gcd(Polynomial([1, prime]), s) == one
+        shared = Polynomial([F(1, prime), 1])
+        assert poly_gcd(s * Polynomial([1, prime]), Polynomial([1, prime])) == shared
+        assert poly_gcd(Polynomial([1, prime]), s * Polynomial([1, prime])) == shared
+        assert poly_gcd(Polynomial([1, prime]) * s2, s2 * s3) == s2
+        # the prime in the shared factor
+        assert poly_gcd(Polynomial([prime, 1]) * s2, Polynomial([prime, 1]) * s3) == Polynomial([prime, 1])
     # shared rational root, non-integer cofactors
     root = Polynomial([F(-1, 3), 1])
     a = root * Polynomial([F(5, 7), F(1, 2)])

@@ -109,17 +109,26 @@ def budak_params(m: int, n: int, gamma: Gamma) -> BudakParams:
 def budak_tf(params: BudakParams) -> TransferFunction:
     """The canonical transfer function for rational gamma.
 
-    At gamma = 1 or m = 0 the numerator degenerates to a constant and the
-    result is the all-pole prototype of degree n.
+    Built on the integer forms (b, L_m) of B_m(s; 2, 1) and (c, L_n) of
+    B_n(s; 2, 1), with gamma = p/q in lowest terms: K = c_0 L_m / (L_n b_0),
+    so the s^i coefficient of K B_m(2(gamma-1)s) is
+    c_0 b_i (2(p-q))^i q^(m-i) over q^m L_n b_0, and that of B_n(2 gamma s)
+    is c_i (2p)^i q^(n-i) over q^n L_n. At gamma = 1 or m = 0 the numerator
+    degenerates to a constant and the result is the all-pole prototype of
+    degree n.
     """
     g = params.rational_gamma()
     m, n = params.m, params.n
-    bm = gbp_of(m, 2, 1)
-    bn = gbp_of(n, 2, 1)
-    k_const = Fraction(bn.coeff(0), bm.coeff(0))
-    num = bm.scale_substitute(2 * (g - 1)) * k_const
-    den = bn.scale_substitute(2 * g)
-    return TransferFunction(num, den)
+    p, q = g.numerator, g.denominator
+    b, _ = gbp_of(m, 2, 1).integer_form
+    c, l_n = gbp_of(n, 2, 1).integer_form
+    up, down = 2 * (p - q), 2 * p
+    num = [c[0] * x * up**i * q ** (m - i) for i, x in enumerate(b)]
+    den = [x * down**i * q ** (n - i) for i, x in enumerate(c)]
+    return TransferFunction(
+        Polynomial.from_integer_form(num, q**m * l_n * b[0]),
+        Polynomial.from_integer_form(den, q**n * l_n),
+    )
 
 
 def _weights(k: int) -> list[int]:

@@ -215,7 +215,7 @@ _SOURCE_FORMS = {
 def _load_tf_file(path: str) -> TransferFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_number(int), parse_float=_json_number(float))
     except OSError as exc:
         raise UsageError(f"cannot read transfer-function file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -293,7 +293,8 @@ def tf_from_provenance(provenance: dict) -> TransferFunction:
         )
     if family == "bessel":
         den = classical_bessel(provenance["n"])
-        return TransferFunction(Polynomial([den.coeff(0)]), den)
+        nums, lcm = den.integer_form
+        return TransferFunction(Polynomial.from_integer_form(nums[:1], lcm), den)
     if family == "file":
         return TransferFunction(Polynomial(provenance["num"]), Polynomial(provenance["den"]))
     raise ValueError(f"unknown provenance family {family!r}")
@@ -541,23 +542,40 @@ def _precision_from_env() -> int:
     return value
 
 
-# CPython's default int/str digit limit, as a fixed bound on the decimal
-# exponent of a rational literal: 1e1000000 is a million-digit number, whose
-# conversion to str alone is quadratic in its length
-_MAX_EXPONENT = 4300
+# CPython's default int/str digit limit, as a fixed bound on a rational
+# literal. main lifts that limit while a command runs, and int() of a digit
+# string is quadratic in its length, so a literal may hold at most this many
+# decimal digits. Its decimal exponent is bounded by the same number:
+# 1e1000000 is a million-digit number, whose conversion to str alone is
+# quadratic in its length. The coefficients a report prints for pade: and
+# bessel: sources fit with room to spare: the longest at bessel:400 is 988
+# characters.
+_MAX_DIGITS = 4300
+
+
+def _too_long(text: str) -> bool:
+    """Whether text holds more than _MAX_DIGITS decimal digits."""
+    return len(text) > _MAX_DIGITS and sum(map(str.isdecimal, text)) > _MAX_DIGITS
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), with a ValueError for a decimal exponent beyond
-    +-_MAX_EXPONENT; it is read before Fraction makes 10**exponent. An
-    exponent written in more characters than that is refused unread, as
-    int() of a million digits is itself quadratic."""
+    """Fraction(text), with a ValueError for a literal of more than
+    _MAX_DIGITS digits, counted before any is converted, or for a decimal
+    exponent beyond +-_MAX_DIGITS, read before Fraction makes
+    10**exponent."""
+    if _too_long(text):
+        raise ValueError(f"a literal of more than {_MAX_DIGITS} digits")
     exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
-    if exponent and (
-        len(exponent[1]) > _MAX_EXPONENT or abs(int(exponent[1])) > _MAX_EXPONENT
-    ):
-        raise ValueError(f"decimal exponent of {text!r} is beyond ±{_MAX_EXPONENT}")
+    if exponent and abs(int(exponent[1])) > _MAX_DIGITS:
+        raise ValueError(f"decimal exponent of {text!r} is beyond ±{_MAX_DIGITS}")
     return Fraction(text)
+
+
+def _json_number(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """A json.load hook for the numbers of a transfer-function file:
+    convert(text), or text unconverted when it holds more than _MAX_DIGITS
+    digits, so that `_fraction` refuses it with the name of its field."""
+    return lambda text: text if _too_long(text) else convert(text)
 
 
 def _rational(text: str) -> Fraction:

@@ -17,7 +17,7 @@ the imaginary axis from `Polynomial.jw_split`, and run the list kernels
 of `_intpoly` on it. Canonical forms first try to prove numerator and
 denominator coprime modulo the prime 2^15 - 19, whose residues and their
 products are one CPython digit each, and run Euclid over Q only when that
-proof fails.
+proof fails; its remainders come from pseudo-division on the integer form.
 All values are immutable after construction and every operation is a
 pure function; instances may be freely shared across threads. (A
 `Polynomial` fills three cache slots on first use: its `coefficients` as
@@ -270,23 +270,42 @@ class Polynomial:
     # -- division ----------------------------------------------------------
 
     def __divmod__(self, other: "Polynomial"):
+        """Pseudo-division over Z (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+
+        With A = a/da and B = b/db in integer form, l = lc(b) and
+        K = deg A - deg B (`top_k`), the loop finds integer Q', R' with
+        l^(K+1) a = Q' b + R', deg R' < deg B. So A = Q B + R for
+        Q = Q' db / (da l^(K+1)) and R = R' / (da l^(K+1)), each brought
+        to integer form by one gcd. The working list r starts as a. Step
+        k, from K down to 0, reads t = r[k + deg B], sets Q'_k = t l^k and
+        replaces r[k + i] by l r[k + i] - t b[i] for i < deg B; R' is what
+        is left below deg B. Algorithm R also multiplies every entry below
+        k by l at step k; here entry k takes all K - k of those factors at
+        once, as step k reaches it.
+        """
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        dq = other.degree
-        lead = other.leading
-        if self.degree < dq:
+        n, top_k = other.degree, self.degree - other.degree
+        if top_k < 0:
             return Polynomial(), self
-        quot = [_ZERO] * (self.degree - dq + 1)
-        for k in range(self.degree - dq, -1, -1):
-            factor = rem[k + dq] / lead
-            quot[k] = factor
-            if factor != 0:
-                for i, c in enumerate(other.coefficients):
-                    rem[k + i] -= factor * c
-        return Polynomial(quot), Polynomial(rem)
+        b, lead = other._nums[:-1], other._nums[-1]
+        powers = [1]
+        for _ in range(top_k + 1):
+            powers.append(powers[-1] * lead)
+        r = list(self._nums)
+        quot = [0] * (top_k + 1)
+        for k in range(top_k, -1, -1):
+            r[k] *= powers[top_k - k]
+            t = r[n + k]
+            quot[k] = t * powers[k]
+            r[k : k + n] = [lead * x - t * y for x, y in zip(r[k : k + n], b)]
+        den = self._den * powers[-1]
+        return (
+            Polynomial.from_integer_form([c * other._den for c in quot], den),
+            Polynomial.from_integer_form(r[:n], den),
+        )
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -401,8 +420,9 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     s + 1/P, yet their images s and 1 are coprime), so the check is
     skipped. A nonconstant gcd of the images proves nothing either way
     (s and s + P), so it falls through too. Every nonconstant gcd comes
-    from the Euclid loop over Q. Nothing here depends on the size of P;
-    a prime below 2^15 keeps every residue and every product of two
+    from the Euclid loop over Q, whose remainders `%` forms by
+    pseudo-division on the integer form. Nothing here depends on the size
+    of P; a prime below 2^15 keeps every residue and every product of two
     residues one CPython digit, and a missed proof only costs the Euclid
     loop, never a different result.
     """
@@ -413,7 +433,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         and q._nums[-1] % _GCD_PRIME
         and _coprime_mod_prime(p._nums, q._nums)
     ):
-        return Polynomial([1])
+        return Polynomial.from_integer_form((1,))
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b

@@ -79,7 +79,7 @@ def gbp(params: GbpParams) -> Polynomial:
 
 def gbp_of(n: int, alpha: RationalLike, beta: RationalLike) -> Polynomial:
     """Convenience wrapper building the params inline."""
-    return gbp(GbpParams(n, Fraction(alpha), Fraction(beta)))
+    return gbp(GbpParams(n, alpha, beta))
 
 
 def classical_bessel(n: int) -> Polynomial:

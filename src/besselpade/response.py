@@ -121,9 +121,9 @@ def _delay_products(tf: TransferFunction) -> tuple[list[int], Sequence[int]]:
     with kn = B_N(0) and kd = B_D(0), the products divided by B_D/kd.
     That factor is 1 at u = 0, so `delay_flatness` reads the same report
     off it, and the canonical `group_delay` is the same reduced pair."""
-    if tf.denominator.coeff(0) == 0:
+    if not any(tf.denominator.integer_form[0][:1]):
         raise ValueError("phase undefined: pole at the origin")
-    if tf.numerator.coeff(0) == 0:
+    if not any(tf.numerator.integer_form[0][:1]):
         raise ValueError("phase undefined: zero at the origin")
     dn, dd = _phase_slope(tf.denominator)
     nn, nd = _phase_slope(tf.numerator)

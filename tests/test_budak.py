@@ -113,6 +113,22 @@ def test_tf_m_zero_is_all_pole():
     assert tf == TransferFunction(Polynomial([3]), Polynomial([3, 3, 1]))
 
 
+def test_tf_matches_its_definition():
+    # K B_m(2(gamma-1)s) / B_n(2 gamma s), K = B_n(0) / B_m(0), formed in
+    # Fraction arithmetic from the backward-factorial sum; m = 0 and
+    # gamma = 1 give the constant numerators
+    bessel = [_oracles.backward_factorial_gbp(k, 2, 1).coefficients for k in range(17)]
+    gammas = [F(1, 7), F(1, 2), F(2, 3), F(1), F(3, 2), F(7, 3), F(13, 5), F(100)]
+    for n in range(1, 17):
+        for m in range(n + 1):
+            k = bessel[n][0] / bessel[m][0]
+            for g in gammas:
+                num = [k * c * (2 * (g - 1)) ** i for i, c in enumerate(bessel[m])]
+                den = [c * (2 * g) ** i for i, c in enumerate(bessel[n])]
+                want = TransferFunction(Polynomial(num), Polynomial(den))
+                assert budak_tf(budak_params(m, n, g)) == want, (m, n, g)
+
+
 def test_half_gamma_relations():
     # m = n at gamma = 1/2 recovers the diagonal approximant; m < n does not
     assert budak_tf(budak_params(3, 3, F(1, 2))) == pade_exp(PadeIndex(3, 3))

@@ -536,14 +536,68 @@ def test_analyze_file_fields_must_be_arrays_of_numbers(tmp_path, capsys):
 
 
 def test_analyze_file_coefficient_past_the_int_digit_limit(tmp_path, capsys):
-    # 4400 digits: past CPython's default limit of 4300 for int <-> str
+    # a 4300-digit coefficient, the most a file may hold, over the monic
+    # 7/1000 is a 4303-digit one: past CPython's default limit of 4300 for
+    # int <-> str, which main lifts while the command runs
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     path = tmp_path / "big.json"
-    path.write_text('{"num": [' + "7" * 4400 + '], "den": ["1", "2", 7]}')
+    path.write_text('{"num": [' + "7" * 4300 + '], "den": ["1", "2", "7/1000"]}')
     payload = run_json(capsys, ["analyze", "--source", f"file:{path}", "--json"])
-    assert payload["provenance"]["num"] == ["1" * 4400]  # over the monic 7
-    assert payload["provenance"]["den"] == ["1/7", "2/7", "1"]
+    assert payload["provenance"]["num"] == ["1" * 4300 + "000"]
+    assert payload["provenance"]["den"] == ["1000/7", "2000/7", "1"]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("digits", [4301, 80_000])
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        lambda d: json.dumps("9" * d),
+        lambda d: json.dumps(f"1/{'3' * (d - 1)}"),
+        lambda d: json.dumps(f"-0.{'5' * (d - 1)}e3"),
+        lambda d: "7" * d,
+        lambda d: f"-{'7' * (d - 1)}.5",
+        lambda d: f"1{'0' * (d - 2)}e-9",
+    ],
+    ids=["string", "ratio", "decimal string", "number", "float", "float exponent"],
+)
+def test_a_file_coefficient_of_more_than_4300_digits_is_a_usage_error(tmp_path, capsys, digits, coefficient):
+    # while main lifts the int/str digit limit, int() of a digit string is
+    # quadratic in its length: 80k digits took seconds; JSON numbers are
+    # refused before json.load converts them
+    path = tmp_path / "big.json"
+    path.write_text('{"num": [1], "den": [1, ' + coefficient(digits) + "]}")
+    start = time.perf_counter()
+    code, out, err = outcome(capsys, ["analyze", "--source", f"file:{path}", "--json"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert 'bad coefficient in "den" of transfer-function file: ' in err
+    assert "more than 4300 digits" in err and "Traceback" not in err
+
+
+def test_a_file_coefficient_of_4300_digits_is_accepted(tmp_path, capsys):
+    path = tmp_path / "tf.json"
+    for written, value in (
+        (json.dumps("9" * 4300), 10**4300 - 1),
+        (json.dumps(f"1/{'3' * 4299}"), F(1, int("3" * 4299))),
+        ("7" * 4300, int("7" * 4300)),
+        # a JSON float is read as the repr of its double, as below the bound
+        (f"0.{'7' * 4299}", F(repr(7 / 9))),
+    ):
+        path.write_text('{"num": [1], "den": [' + written + ", 1]}")
+        tf, _ = source_tf(f"file:{path}")
+        assert tf.denominator.coeff(0) == value, written[:20]
+
+
+@pytest.mark.parametrize("spec", ["bessel:200", "pade:150,149"])
+def test_report_coefficients_of_large_sources_read_back_as_a_file(tmp_path, capsys, spec):
+    # the strings a report prints for the source, as `file:` coefficients
+    tf, _ = source_tf(spec)
+    strings = _coefficient_strings(tf)
+    assert max(len(c) for c in strings["num"] + strings["den"]) > 300
+    path = tmp_path / "tf.json"
+    path.write_text(json.dumps(strings))
+    assert source_tf(f"file:{path}")[0] == tf
 
 
 def test_analyze_bad_specs(capsys):

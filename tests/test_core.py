@@ -88,17 +88,61 @@ def test_ring_laws_randomized():
         assert a + (-a) == Polynomial()
 
 
+def assert_division(a, b):
+    """a == q*b + r with deg r < deg b, which fixes q and r, and // and %
+    agree with divmod."""
+    q, r = divmod(a, b)
+    assert q * b + r == a, (a, b)
+    assert r.is_zero or r.degree < b.degree, (a, b)
+    assert (a // b, a % b) == (q, r)
+    return q, r
+
+
+def wide_poly(rng, degree):
+    """Rational coefficients of up to 7 digits over up to 5, the leading
+    one nonzero, of either sign and rarely 1."""
+    coeffs = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(degree)]
+    return Polynomial(coeffs + [F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**4))])
+
+
 def test_divmod_identity():
     for _ in range(40):
         a = rand_poly(7)
         b = rand_poly(4)
         if b.is_zero:
             continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero or r.degree < b.degree
+        assert_division(a, b)
+    wide = random.Random(3601)
+    for _ in range(300):
+        assert_division(wide_poly(wide, wide.randint(0, 14)), wide_poly(wide, wide.randint(0, 9)))
     with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
         divmod(Polynomial([1]), Polynomial())
+
+
+def test_divmod_edge_cases():
+    s = Polynomial([0, 1])
+    a = Polynomial([F(3, 2), -7, F(5, 4), 0, F(-9, 8)])
+    # negative and non-monic leading coefficients, exact and inexact
+    for b in (Polynomial([1, 2, -3]), Polynomial([F(-1, 3), 0, F(-5, 6)]), Polynomial([2, F(7, 5)])):
+        assert_division(a, b)
+        assert_division(-a, b)
+        q, r = assert_division(a * b, b)
+        assert (q, r) == (a, Polynomial())
+        assert b.divides(a * b)
+    assert divmod(s**2 - 1, Polynomial([-2, -2])) == (Polynomial([F(1, 2), F(-1, 2)]), Polynomial())
+    # constant divisors: the quotient is a scaled, the remainder zero
+    for c in (F(-2, 3), F(5), F(1, 7), F(-1)):
+        assert divmod(a, Polynomial([c])) == (a * (1 / c), Polynomial())
+    assert divmod(Polynomial([F(4, 3)]), Polynomial([F(-2, 9)])) == (Polynomial([-6]), Polynomial())
+    # a dividend of lower degree is its own remainder
+    b = Polynomial([1, 1, 1, 1, F(-3, 2)])
+    for low in (Polynomial([5]), Polynomial([F(1, 2), -3]), s**3 * F(-4, 7)):
+        assert divmod(low, b) == (Polynomial(), low)
+    # a zero dividend gives zero quotient and remainder
+    for b in (Polynomial([F(-5, 2)]), s - 1, Polynomial([3, 0, F(-1, 2)])):
+        assert divmod(Polynomial(), b) == (Polynomial(), Polynomial())
+    # equal degrees: the quotient is the ratio of the leading coefficients
+    assert divmod(Polynomial([1, 2, 3]), Polynomial([0, 0, -6])) == (Polynomial([F(-1, 2)]), Polynomial([1, 2]))
 
 
 def test_pow_and_monomial():
@@ -191,6 +235,27 @@ def test_gcd_examples():
     assert poly_gcd(a, b) == root
     p = Polynomial([F(3, 2), 0, 6])
     assert poly_gcd(p, Polynomial()) == p.monic()
+    # products sharing a known factor: the gcd is that factor, monic
+    prime = (1 << 15) - 19
+    shared = Polynomial([F(-7, 4), 3, 0, F(-5, 9)])
+    for a, b in (
+        (shared * Polynomial([F(2, 3), -1]), shared * Polynomial([1, F(1, 5), F(-7, 2)])),
+        (shared * shared * Polynomial([1, 1]), shared * Polynomial([-1, 1])),
+        # 2^15 - 19 divides a leading coefficient, so the modular proof is
+        # skipped and Euclid alone must find the factor
+        (shared * Polynomial([1, 3 * prime]), shared * Polynomial([F(1, 2), 0, -5])),
+        (shared * Polynomial([F(9, 2), -prime]), shared * Polynomial([2, prime])),
+    ):
+        assert poly_gcd(a, b) == shared.monic()
+        assert poly_gcd(b, a) == shared.monic()
+    wide = random.Random(3602)
+    for degree in (1, 3, 6):
+        for _ in range(5):
+            g = wide_poly(wide, degree)
+            a, b = g * wide_poly(wide, wide.randint(0, 5)), g * wide_poly(wide, wide.randint(0, 5))
+            # the cofactors may share a factor too; the gcd is a multiple of g
+            d = poly_gcd(a, b)
+            assert d.leading == 1 and g.divides(d) and d.divides(a) and d.divides(b)
     assert poly_gcd(Polynomial(), p) == p.monic()
     with pytest.raises(ValueError):
         poly_gcd(Polynomial(), Polynomial())
